@@ -16,12 +16,12 @@ use std::fmt::Write as _;
 use ww_bench::{scaling_mix, scaling_scenario, time_min};
 use ww_core::docsim::{DocSim, DocSimConfig};
 use ww_core::fold::{webfold, IncrementalFold};
-use ww_core::packetsim::{HeapPacketSim, PacketSim, PacketSimConfig};
+use ww_core::packetsim::{PacketSim, PacketSimConfig, PacketSimReport};
 use ww_core::reference::{NaiveDocSim, NaiveRateWave};
 use ww_core::wave::{RateWave, WaveConfig};
 use ww_dist::{DistMode, DistOptions, DistPacketSim};
 use ww_model::RateVector;
-use ww_pdes::{HeapParPacketSim, ParPacketSim, PdesTuning, RebalanceConfig, TransportKind};
+use ww_pdes::{ParPacketSim, RebalanceConfig};
 use ww_scenario::{
     drive, DocMixSpec, EngineSpec, NullObserver, RatesSpec, Runner, ScenarioSpec, TelemetrySpec,
     Termination, TopologySpec, WorkloadSpec,
@@ -294,17 +294,15 @@ fn bench_runner_overhead_doc(nodes: usize, docs: usize, rounds: usize) -> Runner
     }
 }
 
-/// One worker count of the parallel packet-engine scaling study,
-/// measured on both hot paths: the reworked default (radix queue + SPSC
-/// ring transport + window batching) and the legacy stack it replaced
-/// (`BinaryHeap` queue + per-event MPMC channel sends).
+/// One worker count of the parallel packet-engine scaling study. The
+/// legacy hot path (`BinaryHeap` queue + per-event MPMC channel sends)
+/// is retired; its last measured comparison stays on record in the
+/// `old_*` fields of the committed `BENCH_webfold_scaling.json`.
 struct ScalingRow {
     workers: usize,
-    new_ms: f64,
-    new_speedup: f64,
-    new_events_per_sec: f64,
-    old_ms: f64,
-    old_events_per_sec: f64,
+    ms: f64,
+    speedup: f64,
+    events_per_sec: f64,
 }
 
 /// The parallel packet-engine scaling study: the sequential `PacketSim`
@@ -321,23 +319,10 @@ struct ParallelScaling {
     seq_events_per_sec: f64,
     rows: Vec<ScalingRow>,
     /// Conservative-sync overhead of a single-shard parallel run over
-    /// the sequential engine, in percent — new stack vs legacy stack.
-    sync_overhead_w1_new_pct: f64,
-    sync_overhead_w1_old_pct: f64,
+    /// the sequential engine, in percent.
+    sync_overhead_w1_pct: f64,
     traces_identical: bool,
 }
-
-/// The reworked hot path (explicit, so environment overrides cannot
-/// skew the recorded comparison).
-const NEW_TUNING: PdesTuning = PdesTuning {
-    transport: TransportKind::SpscRing,
-    batching: true,
-};
-/// The legacy hot path: one mutex-channel send per event.
-const OLD_TUNING: PdesTuning = PdesTuning {
-    transport: TransportKind::MpmcChannel,
-    batching: false,
-};
 
 fn bench_parallel_scaling(
     regions: usize,
@@ -355,28 +340,8 @@ fn bench_parallel_scaling(
     // run bit for bit — trace, loads, ledger, counters, event count —
     // before its timings mean anything.
     let seq_report = PacketSim::new(&tree, &mix, config).run(horizon);
-    let par_report = ParPacketSim::with_tuning(&tree, &mix, config, 4, NEW_TUNING).run(horizon);
-    let traces_identical = seq_report.trace.len() == par_report.trace.len()
-        && seq_report
-            .trace
-            .distances()
-            .iter()
-            .zip(par_report.trace.distances())
-            .all(|(a, b)| a.to_bits() == b.to_bits())
-        && seq_report
-            .served_rates
-            .as_slice()
-            .iter()
-            .zip(par_report.served_rates.as_slice())
-            .all(|(a, b)| a.to_bits() == b.to_bits())
-        && seq_report.served_requests == par_report.served_requests
-        && seq_report.processed_events == par_report.processed_events
-        && seq_report.copy_pushes == par_report.copy_pushes
-        && seq_report.tunnel_fetches == par_report.tunnel_fetches
-        && seq_report.mean_hops.to_bits() == par_report.mean_hops.to_bits()
-        && seq_report.ledger.total_messages() == par_report.ledger.total_messages()
-        && seq_report.ledger.total_bytes() == par_report.ledger.total_bytes()
-        && seq_report.ledger.link_transmissions() == par_report.ledger.link_transmissions();
+    let par_report = ParPacketSim::new(&tree, &mix, config, 4).run(horizon);
+    let traces_identical = packet_reports_identical(&seq_report, &par_report);
     let processed_events = seq_report.processed_events;
 
     let seq = time_min(
@@ -389,41 +354,23 @@ fn bench_parallel_scaling(
     let events_per_sec = |wall: std::time::Duration| processed_events as f64 / wall.as_secs_f64();
     let mut rows = Vec::new();
     for workers in [1, 2, 4, 8] {
-        let new = time_min(
+        let par = time_min(
             3,
-            || ParPacketSim::with_tuning(&tree, &mix, config, workers, NEW_TUNING),
-            |s| {
-                s.run(horizon);
-            },
-        );
-        let old = time_min(
-            3,
-            || HeapParPacketSim::with_tuning(&tree, &mix, config, workers, OLD_TUNING),
+            || ParPacketSim::new(&tree, &mix, config, workers),
             |s| {
                 s.run(horizon);
             },
         );
         rows.push(ScalingRow {
             workers,
-            new_ms: new.as_secs_f64() * 1e3,
-            new_speedup: seq.as_secs_f64() / new.as_secs_f64(),
-            new_events_per_sec: events_per_sec(new),
-            old_ms: old.as_secs_f64() * 1e3,
-            old_events_per_sec: events_per_sec(old),
+            ms: par.as_secs_f64() * 1e3,
+            speedup: seq.as_secs_f64() / par.as_secs_f64(),
+            events_per_sec: events_per_sec(par),
         });
     }
-    // Single-shard sync overhead, each stack against its own sequential
-    // twin so only the parallel machinery is in the difference.
-    let seq_heap = time_min(
-        3,
-        || HeapPacketSim::new(&tree, &mix, config),
-        |s| {
-            s.run(horizon);
-        },
-    );
-    let w1 = &rows[0];
-    let sync_overhead_w1_new_pct = 100.0 * (w1.new_ms / (seq.as_secs_f64() * 1e3) - 1.0);
-    let sync_overhead_w1_old_pct = 100.0 * (w1.old_ms / (seq_heap.as_secs_f64() * 1e3) - 1.0);
+    // Single-shard sync overhead: only the parallel machinery is in the
+    // difference to the sequential twin.
+    let sync_overhead_w1_pct = 100.0 * (rows[0].ms / (seq.as_secs_f64() * 1e3) - 1.0);
     ParallelScaling {
         nodes: tree.len(),
         docs,
@@ -433,8 +380,7 @@ fn bench_parallel_scaling(
         processed_events,
         seq_events_per_sec: events_per_sec(seq),
         rows,
-        sync_overhead_w1_new_pct,
-        sync_overhead_w1_old_pct,
+        sync_overhead_w1_pct,
         traces_identical,
     }
 }
@@ -493,7 +439,7 @@ fn bench_dynamics_at_scale(
     let seq_epoch = t.elapsed();
 
     // Parallel: the identical script.
-    let mut par = ParPacketSim::with_tuning(&tree, &mix, config, workers, NEW_TUNING);
+    let mut par = ParPacketSim::new(&tree, &mix, config, workers);
     let par_pre_events = par.run(1.0).processed_events;
     let t = std::time::Instant::now();
     par.add_leaf(NodeId::new(1), 50.0).expect("join applies");
@@ -506,21 +452,7 @@ fn bench_dynamics_at_scale(
     let par_report = par.run(2.0);
     let par_epoch = t.elapsed();
 
-    let traces_identical = seq_report.trace.len() == par_report.trace.len()
-        && seq_report
-            .trace
-            .distances()
-            .iter()
-            .zip(par_report.trace.distances())
-            .all(|(a, b)| a.to_bits() == b.to_bits())
-        && seq_report.served_requests == par_report.served_requests
-        && seq_report.processed_events == par_report.processed_events
-        && seq_report
-            .served_rates
-            .as_slice()
-            .iter()
-            .zip(par_report.served_rates.as_slice())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
+    let traces_identical = packet_reports_identical(&seq_report, &par_report);
 
     let epoch_events = seq_report.processed_events - seq_pre_events;
     debug_assert_eq!(
@@ -587,26 +519,17 @@ fn bench_dist_loopback(regions: usize, leaves: usize, docs: usize, workers: usiz
 
     // Equivalence probe: the socket run must replay the in-process run
     // bit for bit before the timings mean anything.
-    let spsc_report =
-        ParPacketSim::with_tuning(&tree, &mix, config, workers, NEW_TUNING).run(horizon);
+    let spsc_report = ParPacketSim::new(&tree, &mix, config, workers).run(horizon);
     let dist_report = DistPacketSim::launch(&tree, &mix, config, workers, threads())
         .expect("loopback launch")
         .run(horizon)
         .expect("loopback run");
-    let traces_identical = spsc_report.trace.len() == dist_report.trace.len()
-        && spsc_report
-            .trace
-            .distances()
-            .iter()
-            .zip(dist_report.trace.distances())
-            .all(|(a, b)| a.to_bits() == b.to_bits())
-        && spsc_report.served_requests == dist_report.served_requests
-        && spsc_report.processed_events == dist_report.processed_events;
+    let traces_identical = packet_reports_identical(&spsc_report, &dist_report);
     let barriers = dist_report.trace.len().max(1);
 
     let spsc = time_min(
         3,
-        || ParPacketSim::with_tuning(&tree, &mix, config, workers, NEW_TUNING),
+        || ParPacketSim::new(&tree, &mix, config, workers),
         |s| {
             s.run(horizon);
         },
@@ -681,33 +604,20 @@ fn bench_telemetry_overhead(
 
     // Equivalence probe across levels before the timings mean anything.
     let run_at = |level: Level| {
-        let mut sim = ParPacketSim::with_tuning(&tree, &mix, config, workers, NEW_TUNING);
+        let mut sim = ParPacketSim::new(&tree, &mix, config, workers);
         sim.set_telemetry(level);
         sim.run(horizon)
     };
     let off_report = run_at(Level::Off);
     let full_report = run_at(Level::Full);
-    let traces_identical = off_report.trace.len() == full_report.trace.len()
-        && off_report
-            .trace
-            .distances()
-            .iter()
-            .zip(full_report.trace.distances())
-            .all(|(a, b)| a.to_bits() == b.to_bits())
-        && off_report
-            .served_rates
-            .as_slice()
-            .iter()
-            .zip(full_report.served_rates.as_slice())
-            .all(|(a, b)| a.to_bits() == b.to_bits())
-        && off_report.processed_events == full_report.processed_events;
+    let traces_identical = packet_reports_identical(&off_report, &full_report);
     let processed_events = off_report.processed_events;
 
     let time_level = |level: Level| {
         time_min(
             3,
             || {
-                let mut sim = ParPacketSim::with_tuning(&tree, &mix, config, workers, NEW_TUNING);
+                let mut sim = ParPacketSim::new(&tree, &mix, config, workers);
                 sim.set_telemetry(level);
                 sim
             },
@@ -792,10 +702,7 @@ struct ShardRebalance {
 /// surface every golden suite pins, minus the partition-*dependent*
 /// diagnostics (`shard_event_counts`, `imbalance`) that rebalancing is
 /// supposed to change.
-fn packet_reports_identical(
-    a: &ww_core::packetsim::PacketSimReport,
-    b: &ww_core::packetsim::PacketSimReport,
-) -> bool {
+fn packet_reports_identical(a: &PacketSimReport, b: &PacketSimReport) -> bool {
     a.trace.len() == b.trace.len()
         && a.trace
             .distances()
@@ -814,6 +721,7 @@ fn packet_reports_identical(
         && a.mean_hops.to_bits() == b.mean_hops.to_bits()
         && a.ledger.total_messages() == b.ledger.total_messages()
         && a.ledger.total_bytes() == b.ledger.total_bytes()
+        && a.ledger.link_transmissions() == b.ledger.link_transmissions()
 }
 
 fn window_imbalance(window: &[u64]) -> f64 {
@@ -873,7 +781,7 @@ fn bench_shard_rebalance(
     // Telemetry is observation-only, so the adaptive probe can carry
     // counters without perturbing the identity check.
     let split = |rebalance: Option<RebalanceConfig>, level: Level| {
-        let mut sim = ParPacketSim::with_tuning(&tree, &mix, config, workers, NEW_TUNING);
+        let mut sim = ParPacketSim::new(&tree, &mix, config, workers);
         sim.set_telemetry(level);
         sim.set_rebalance(rebalance);
         let warm = sim.run(warmup);
@@ -900,7 +808,7 @@ fn bench_shard_rebalance(
         time_min(
             3,
             || {
-                let mut sim = ParPacketSim::with_tuning(&tree, &mix, config, workers, NEW_TUNING);
+                let mut sim = ParPacketSim::new(&tree, &mix, config, workers);
                 sim.set_rebalance(rebalance);
                 sim
             },
@@ -922,7 +830,7 @@ fn bench_shard_rebalance(
     let bal_mix = scaling_mix(&bal_tree, &bal_rates, 8);
     let bal_horizon = 3.0;
     let bal_run = |rebalance: Option<RebalanceConfig>, level: Level| {
-        let mut sim = ParPacketSim::with_tuning(&bal_tree, &bal_mix, config, workers, NEW_TUNING);
+        let mut sim = ParPacketSim::new(&bal_tree, &bal_mix, config, workers);
         sim.set_telemetry(level);
         sim.set_rebalance(rebalance);
         let report = sim.run(bal_horizon);
@@ -937,8 +845,7 @@ fn bench_shard_rebalance(
         time_min(
             3,
             || {
-                let mut sim =
-                    ParPacketSim::with_tuning(&bal_tree, &bal_mix, config, workers, NEW_TUNING);
+                let mut sim = ParPacketSim::new(&bal_tree, &bal_mix, config, workers);
                 sim.set_rebalance(rebalance);
                 sim
             },
@@ -1214,19 +1121,16 @@ fn main() {
     );
     for r in &parallel.rows {
         eprintln!(
-            "    workers={}: new (spsc+batch) {:.0} ms / {:.2} Mev/s, old (mpmc per-event) {:.0} ms / {:.2} Mev/s, new speedup {:.2}x, old/new {:.2}x",
+            "    workers={}: {:.0} ms / {:.2} Mev/s, speedup {:.2}x",
             r.workers,
-            r.new_ms,
-            r.new_events_per_sec / 1e6,
-            r.old_ms,
-            r.old_events_per_sec / 1e6,
-            r.new_speedup,
-            r.old_ms / r.new_ms
+            r.ms,
+            r.events_per_sec / 1e6,
+            r.speedup
         );
     }
     eprintln!(
-        "    sync overhead at workers=1: new {:+.2}%, old {:+.2}%",
-        parallel.sync_overhead_w1_new_pct, parallel.sync_overhead_w1_old_pct
+        "    sync overhead at workers=1: {:+.2}%",
+        parallel.sync_overhead_w1_pct
     );
     if parallel.available_cores < 2 {
         eprintln!(
@@ -1446,24 +1350,18 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "    \"new_hot_path\": \"radix queue + spsc ring + window batching\", \"old_hot_path\": \"binary heap + per-event mpmc channel\",",
-    );
-    let _ = writeln!(
-        json,
-        "    \"sync_overhead_w1_new_pct\": {:.2}, \"sync_overhead_w1_old_pct\": {:.2},",
-        parallel.sync_overhead_w1_new_pct, parallel.sync_overhead_w1_old_pct
+        "    \"sync_overhead_w1_pct\": {:.2},",
+        parallel.sync_overhead_w1_pct
     );
     json.push_str("    \"workers\": [\n");
     for (i, r) in parallel.rows.iter().enumerate() {
         let _ = writeln!(
             json,
-            "      {{\"workers\": {}, \"new_ms\": {:.1}, \"new_speedup\": {:.3}, \"new_events_per_sec\": {:.0}, \"old_ms\": {:.1}, \"old_events_per_sec\": {:.0}}}{}",
+            "      {{\"workers\": {}, \"ms\": {:.1}, \"speedup\": {:.3}, \"events_per_sec\": {:.0}}}{}",
             r.workers,
-            r.new_ms,
-            r.new_speedup,
-            r.new_events_per_sec,
-            r.old_ms,
-            r.old_events_per_sec,
+            r.ms,
+            r.speedup,
+            r.events_per_sec,
             if i + 1 < parallel.rows.len() { "," } else { "" }
         );
     }

@@ -44,7 +44,7 @@ use crate::packet::{
 };
 use ww_model::{DocId, LeafRemoval, ModelError, NodeId, RateVector, Tree};
 use ww_net::{TrafficClass, TrafficLedger};
-use ww_sim::{EventQueue, RadixQueue, SimQueue, SimTime, TimerRing};
+use ww_sim::{RadixQueue, SimQueue, SimTime, TimerRing};
 use ww_stats::ConvergenceTrace;
 use ww_telemetry::{Counters, Key, Level, PhaseStat, Phases, Snapshot};
 use ww_workload::DocMix;
@@ -119,14 +119,9 @@ pub struct PacketSimReport {
     pub imbalance: f64,
 }
 
-/// The sequential packet-level simulator, generic over its pending-event
-/// structure `Q`.
-///
-/// Use the [`PacketSim`] alias (radix-bucketed queue, the fast default)
-/// or [`HeapPacketSim`] (`BinaryHeap` reference backend). The two
-/// backends deliver events in exactly the same `(time, seq)` order —
-/// `ww-sim`'s parity property tests pin that — so every reported number
-/// is bit-identical between them.
+/// The sequential packet-level simulator. Pending events live in the
+/// radix-bucketed [`RadixQueue`], O(1) amortized on the simulation's
+/// near-monotone schedule.
 ///
 /// # Example
 ///
@@ -145,9 +140,9 @@ pub struct PacketSimReport {
 /// assert!(report.final_distance < report.trace.initial().unwrap());
 /// ```
 #[derive(Debug)]
-pub struct GenericPacketSim<Q> {
+pub struct PacketSim {
     world: PacketWorld,
-    queue: Q,
+    queue: RadixQueue<PacketEvent>,
     gossip_ring: TimerRing,
     diffusion_ring: TimerRing,
     nodes: Vec<NodeState>,
@@ -164,9 +159,9 @@ pub struct GenericPacketSim<Q> {
     epochs_sampled: u64,
     /// Open barrier batch: the queue-surgery steps accumulated so far
     /// (`None` when applying unbatched). See
-    /// [`GenericPacketSim::begin_batch`].
+    /// [`PacketSim::begin_batch`].
     batch: Option<Vec<SurgeryStep>>,
-    /// Telemetry level requested via [`GenericPacketSim::set_telemetry`].
+    /// Telemetry level requested via [`PacketSim::set_telemetry`].
     tel_level: Level,
     /// Barrier-path counter slab over [`CORE_KEYS`].
     tel: Counters,
@@ -174,17 +169,7 @@ pub struct GenericPacketSim<Q> {
     tel_phases: Phases,
 }
 
-/// The standard sequential packet simulator: event storage is the
-/// radix-bucketed [`RadixQueue`], O(1) amortized on the simulation's
-/// near-monotone schedule.
-pub type PacketSim = GenericPacketSim<RadixQueue<PacketEvent>>;
-
-/// The reference backend: the comparison-based `BinaryHeap`
-/// [`EventQueue`]. Bit-identical to [`PacketSim`] (kept for the
-/// old-vs-new hot-path benchmarks and as the parity anchor).
-pub type HeapPacketSim = GenericPacketSim<EventQueue<PacketEvent>>;
-
-impl<Q: SimQueue<PacketEvent> + Default> GenericPacketSim<Q> {
+impl PacketSim {
     /// Builds a simulator for `tree` under the per-node document demand
     /// `mix`.
     ///
@@ -200,7 +185,7 @@ impl<Q: SimQueue<PacketEvent> + Default> GenericPacketSim<Q> {
             .map(|u| packet::init_state(&world, u))
             .collect();
 
-        let mut queue = Q::default();
+        let mut queue = RadixQueue::default();
         let mut gossip_ring = TimerRing::new(SimTime::from_secs(config.gossip_period), n);
         let mut diffusion_ring = TimerRing::new(SimTime::from_secs(config.diffusion_period), n);
 
@@ -220,7 +205,7 @@ impl<Q: SimQueue<PacketEvent> + Default> GenericPacketSim<Q> {
             diffusion_ring.insert(i, world.diffusion_phase(i), diffusion_seq);
         }
 
-        GenericPacketSim {
+        PacketSim {
             world,
             queue,
             gossip_ring,
@@ -675,7 +660,7 @@ impl<Q: SimQueue<PacketEvent> + Default> GenericPacketSim<Q> {
     /// Opens a barrier batch: subsequent barrier mutations apply their
     /// primary state changes eagerly but defer the oracle refresh, the
     /// queue-surgery sweep, and the arrival re-resolution to one shared
-    /// pass in [`GenericPacketSim::commit_batch`]. A K-event batch ends
+    /// pass in [`PacketSim::commit_batch`]. A K-event batch ends
     /// bit-identical to K unbatched applications at a fraction of the
     /// cost (one refold, one sweep, one re-resolution instead of K).
     ///
@@ -743,7 +728,7 @@ impl<Q: SimQueue<PacketEvent> + Default> GenericPacketSim<Q> {
     ///
     /// # Panics
     ///
-    /// As [`GenericPacketSim::apply_op`], and if a batch is already
+    /// As [`PacketSim::apply_op`], and if a batch is already
     /// open.
     pub fn apply_all(&mut self, ops: &[BarrierOp]) -> Vec<Result<BarrierOutcome, ModelError>> {
         self.begin_batch();

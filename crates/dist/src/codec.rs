@@ -85,9 +85,6 @@ pub struct Assign {
     /// shard count can be lower on small trees; surplus workers receive
     /// [`Msg::Surplus`] instead of an assignment.
     pub shard_hint: usize,
-    /// Window batching for the outbound wires (bit-identical either
-    /// way; wall-clock tuning only).
-    pub batching: bool,
     /// Stall timeout for the worker's epochs, milliseconds; `None`
     /// disables stall detection.
     pub stall_ms: Option<u64>,
@@ -660,7 +657,6 @@ fn put_body(out: &mut Vec<u8>, msg: &Msg) {
             put_u8(out, TAG_ASSIGN);
             put_usize(out, a.shard_id);
             put_usize(out, a.shard_hint);
-            put_bool(out, a.batching);
             put_opt_u64(out, a.stall_ms);
             put_u32(out, a.parents.len() as u32);
             for p in &a.parents {
@@ -822,7 +818,6 @@ pub fn decode_msg(body: &[u8]) -> Result<Msg, CodecError> {
         TAG_ASSIGN => {
             let shard_id = r.usize()?;
             let shard_hint = r.usize()?;
-            let batching = r.bool()?;
             let stall_ms = r.opt_u64()?;
             let n = r.len(1)?;
             let mut parents = Vec::with_capacity(n);
@@ -845,7 +840,6 @@ pub fn decode_msg(body: &[u8]) -> Result<Msg, CodecError> {
             Msg::Assign(Assign {
                 shard_id,
                 shard_hint,
-                batching,
                 stall_ms,
                 parents,
                 mix_nodes,

@@ -31,7 +31,7 @@ use ww_core::packet::{BarrierOp, BarrierOutcome, PacketCounters, PacketSimConfig
 use ww_core::packetsim::PacketSimReport;
 use ww_model::{DocId, LeafRemoval, NodeId, RateVector, Tree};
 use ww_net::TrafficLedger;
-use ww_pdes::{PacketShardHost, ShardHost, DEFAULT_STALL_TIMEOUT};
+use ww_pdes::{ShardHost, DEFAULT_STALL_TIMEOUT};
 use ww_sim::SimTime;
 use ww_stats::{ConvergenceTrace, ExactSum};
 use ww_telemetry::{Histogram, Level, PhaseStat, Snapshot};
@@ -57,8 +57,6 @@ pub struct DistOptions {
     /// Worker *death* is detected immediately via EOF regardless of
     /// this timeout.
     pub reply_timeout: Duration,
-    /// Window batching for the workers' outbound wires.
-    pub batching: bool,
     /// Observation level of the coordinator's control plane (handshake
     /// and round-trip latencies, framed bytes per link). Observation
     /// only: the reported simulation numbers are bit-identical at every
@@ -73,7 +71,6 @@ impl Default for DistOptions {
             listen: "127.0.0.1:0".to_string(),
             stall_timeout: Some(DEFAULT_STALL_TIMEOUT),
             reply_timeout: Duration::from_secs(120),
-            batching: true,
             telemetry: Level::Off,
         }
     }
@@ -94,7 +91,7 @@ struct WorkerCtl {
 /// construction see [`DistPacketSim::launch`].
 #[derive(Debug)]
 pub struct DistPacketSim {
-    replica: PacketShardHost,
+    replica: ShardHost,
     workers: Vec<WorkerCtl>,
     children: Vec<Child>,
     trace: ConvergenceTrace,
@@ -126,11 +123,13 @@ impl DistPacketSim {
     ///
     /// [`DistError`] when spawning fails, a worker dies or misbehaves
     /// during the handshake, or nothing connects within the reply
-    /// timeout.
+    /// timeout; [`DistError::InvalidEnv`] when [`DistMode::Auto`] or
+    /// [`DistMode::Processes`] meets a `WW_DIST_MODE` or
+    /// `WW_DIST_WORKER_BIN` value it cannot use.
     ///
     /// # Panics
     ///
-    /// As [`ParPacketSim::new`](ww_pdes::GenericParPacketSim::new):
+    /// As [`ParPacketSim::new`](ww_pdes::ParPacketSim::new):
     /// zero workers, a non-trivial partition without positive link
     /// delay, or invalid world inputs.
     pub fn launch(
@@ -142,7 +141,7 @@ impl DistPacketSim {
     ) -> Result<Self, DistError> {
         assert!(workers > 0, "need at least one worker");
         let t_handshake = options.telemetry.counters_on().then(Instant::now);
-        let mut replica: PacketShardHost = ShardHost::replica(tree, mix, config, workers);
+        let mut replica = ShardHost::replica(tree, mix, config, workers);
         replica.set_telemetry_timing(options.telemetry.spans_on());
         let shards = replica.shards();
 
@@ -150,9 +149,9 @@ impl DistPacketSim {
         let ctrl_addr = listener.local_addr()?.to_string();
 
         let mut children = Vec::new();
-        match options.mode.resolve() {
+        match options.mode.resolve()? {
             DistMode::Processes => {
-                let bin = find_worker_bin().ok_or_else(|| DistError::SpawnUnavailable {
+                let bin = find_worker_bin()?.ok_or_else(|| DistError::SpawnUnavailable {
                     detail: "WW_DIST_WORKER_BIN unset and no webwave-dist next to the \
                              current executable"
                         .to_string(),
@@ -235,7 +234,6 @@ impl DistPacketSim {
             framed.write_msg(&Msg::Assign(Assign {
                 shard_id: shard,
                 shard_hint: workers,
-                batching: options.batching,
                 stall_ms: options.stall_timeout.map(|d| d.as_millis() as u64),
                 parents: parents.clone(),
                 mix_nodes: mix.len(),
@@ -428,7 +426,7 @@ impl DistPacketSim {
 
     /// Runs the simulation up to `duration` simulated seconds and
     /// reports — the epoch schedule, sample instants, and final barrier
-    /// are exactly [`ParPacketSim::run`](ww_pdes::GenericParPacketSim::run)'s.
+    /// are exactly [`ParPacketSim::run`](ww_pdes::ParPacketSim::run)'s.
     /// May be called repeatedly with increasing horizons.
     ///
     /// # Errors

@@ -44,6 +44,16 @@ pub enum DistError {
         /// How long the coordinator waited.
         waited: Duration,
     },
+    /// An environment variable that configures the launch holds a value
+    /// it does not accept. Rejected, never ignored.
+    InvalidEnv {
+        /// The variable's name.
+        var: &'static str,
+        /// The value it held.
+        value: String,
+        /// What the variable accepts.
+        expected: &'static str,
+    },
     /// No worker binary could be found for process-mode spawning.
     SpawnUnavailable {
         /// Where the coordinator looked.
@@ -79,6 +89,11 @@ impl fmt::Display for DistError {
             DistError::Timeout { worker, waited } => {
                 write!(f, "worker {worker} sent nothing for {waited:?}")
             }
+            DistError::InvalidEnv {
+                var,
+                value,
+                expected,
+            } => write!(f, "invalid {var}={value:?}: expected {expected}"),
             DistError::SpawnUnavailable { detail } => {
                 write!(f, "no worker binary to spawn: {detail}")
             }

@@ -3,8 +3,10 @@
 //!
 //! The conservative engine in [`ww_pdes`] already speaks a minimal wire
 //! protocol ([`Wire`](ww_pdes::Wire): events, lookahead promises, epoch
-//! barriers) through the [`Transport`](ww_pdes::Transport) abstraction.
-//! This crate carries that protocol over real sockets:
+//! barriers) through the [`WireSender`](ww_pdes::WireSender) /
+//! [`WireReceiver`](ww_pdes::WireReceiver) traits, whose only in-process
+//! implementation is a lock-free SPSC ring. This crate carries that
+//! protocol over real sockets instead:
 //!
 //! - [`codec`] — a length-prefixed little-endian binary framing for
 //!   every message (data plane and control plane). Floats travel as raw
@@ -44,5 +46,5 @@ pub use coordinator::{DistOptions, DistPacketSim};
 pub use error::DistError;
 pub use framed::FramedStream;
 pub use link::{split_wires, SocketReceiver, SocketSender};
-pub use spawn::{find_worker_bin, DistMode};
+pub use spawn::{find_worker_bin, parse_mode_env, parse_worker_bin_env, DistMode};
 pub use worker::run_worker;

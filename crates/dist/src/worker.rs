@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 use ww_model::{DocId, NodeId, Tree};
-use ww_pdes::{partition_subtrees, PacketShardHost, ShardHost};
+use ww_pdes::{partition_subtrees, ShardHost};
 use ww_workload::DocMix;
 
 fn protocol(detail: String) -> DistError {
@@ -60,7 +60,7 @@ pub fn run_worker(connect: &str) -> Result<(), DistError> {
 /// Rebuilds the world from the assignment, derives the partition (the
 /// same pure function the coordinator ran), wires up the data mesh, and
 /// constructs the shard host.
-fn build_host(assign: &Assign, listener: &TcpListener) -> Result<PacketShardHost, DistError> {
+fn build_host(assign: &Assign, listener: &TcpListener) -> Result<ShardHost, DistError> {
     let me = assign.shard_id;
     let tree = Tree::from_parents(&assign.parents)?;
     let mut mix = DocMix::new(assign.mix_nodes);
@@ -144,7 +144,6 @@ fn build_host(assign: &Assign, listener: &TcpListener) -> Result<PacketShardHost
         assign.config,
         assign.shard_hint,
         me,
-        assign.batching,
         assign.stall_ms.map(Duration::from_millis),
         |dst| Box::new(senders.remove(&dst).expect("sender for adjacent shard")),
         |src| Box::new(receivers.remove(&src).expect("receiver for adjacent shard")),
@@ -169,7 +168,7 @@ fn dial(addr: &str) -> Result<TcpStream, DistError> {
 
 /// The steady-state control loop: epochs, barrier mutations, the final
 /// report, shutdown.
-fn serve(ctrl: &mut FramedStream, host: &mut PacketShardHost, me: usize) -> Result<(), DistError> {
+fn serve(ctrl: &mut FramedStream, host: &mut ShardHost, me: usize) -> Result<(), DistError> {
     loop {
         match ctrl.read_msg()? {
             Msg::RunEpoch { t_end, sample } => match host.run_epoch(t_end, sample) {
@@ -216,7 +215,7 @@ fn serve(ctrl: &mut FramedStream, host: &mut PacketShardHost, me: usize) -> Resu
 
 /// Applies one barrier mutation to the host — the worker-side mirror of
 /// the coordinator's replica application.
-fn apply(host: &mut PacketShardHost, cmd: &ApplyCmd) -> Result<(), ww_model::ModelError> {
+fn apply(host: &mut ShardHost, cmd: &ApplyCmd) -> Result<(), ww_model::ModelError> {
     match cmd {
         ApplyCmd::FailLink { node } => {
             host.fail_link(NodeId::new(*node));

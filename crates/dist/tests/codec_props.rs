@@ -160,24 +160,18 @@ fn arb_apply() -> BoxedStrategy<ApplyCmd> {
 
 fn arb_assign() -> impl Strategy<Value = Assign> {
     (
-        (
-            0usize..8,
-            1usize..9,
-            any::<bool>(),
-            proptest::option::of(0u64..100_000),
-        ),
+        (0usize..8, 1usize..9, proptest::option::of(0u64..100_000)),
         proptest::collection::vec(proptest::option::of(0usize..64), 0..24),
         arb_demands(),
         (any::<u64>(), 0.0001f64..10.0, 0.001f64..10.0),
         proptest::collection::vec((0usize..8, arb_string()), 0..8),
     )
         .prop_map(
-            |((shard_id, shard_hint, batching, stall_ms), parents, demands, cfg, peers)| {
+            |((shard_id, shard_hint, stall_ms), parents, demands, cfg, peers)| {
                 let (seed, link_delay, diffusion_period) = cfg;
                 Assign {
                     shard_id,
                     shard_hint,
-                    batching,
                     stall_ms,
                     mix_nodes: parents.len(),
                     parents,

@@ -18,14 +18,14 @@
 //! pure function — no partition data ever crosses the network.
 
 use crate::engine::{build_shard, run_shard, InLink, OutLink, Shared};
-use crate::ops::{self, ShardStore, SimCore, SingleStore};
+use crate::ops::{self, SimCore, SingleStore};
 use crate::partition::{partition_subtrees, Partition};
 use crate::transport::{LinkError, WireReceiver, WireSender};
 use std::time::Duration;
-use ww_core::packet::{PacketCounters, PacketEvent, PacketSimConfig, PacketWorld};
+use ww_core::packet::{PacketCounters, PacketSimConfig, PacketWorld};
 use ww_model::{DocId, LeafRemoval, ModelError, NodeId, Tree};
 use ww_net::TrafficLedger;
-use ww_sim::{RadixQueue, SimQueue, SimTime};
+use ww_sim::{SimQueue, SimTime};
 use ww_stats::ExactSum;
 use ww_workload::DocMix;
 
@@ -36,20 +36,16 @@ use ww_workload::DocMix;
 /// propagates on its own.
 pub const DEFAULT_STALL_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// The shard host with the production event queue — what distributed
-/// workers run.
-pub type PacketShardHost = ShardHost<RadixQueue<PacketEvent>>;
-
 /// One participant of a partitioned packet-level run: the replicated
 /// shared state plus at most one locally held shard. See the module
 /// docs.
 #[derive(Debug)]
-pub struct ShardHost<Q> {
+pub struct ShardHost {
     core: SimCore,
-    store: SingleStore<Q>,
+    store: SingleStore,
 }
 
-impl<Q: SimQueue<PacketEvent> + Default + Send> ShardHost<Q> {
+impl ShardHost {
     /// A host holding **no** shard: the coordinator's replica. It
     /// mirrors barrier mutations and serves world/partition metadata;
     /// [`ShardHost::run_epoch`] only advances its horizon.
@@ -96,7 +92,6 @@ impl<Q: SimQueue<PacketEvent> + Default + Send> ShardHost<Q> {
         config: PacketSimConfig,
         shard_hint: usize,
         id: usize,
-        batching: bool,
         stall_timeout: Option<Duration>,
         mut wire_out: impl FnMut(usize) -> Box<dyn WireSender>,
         mut wire_in: impl FnMut(usize) -> Box<dyn WireReceiver>,
@@ -124,7 +119,7 @@ impl<Q: SimQueue<PacketEvent> + Default + Send> ShardHost<Q> {
                 ins.push(InLink::new(src, wire_in(src)));
             }
         }
-        let shard = build_shard(&world, &partition, id, outs, ins, batching, stall_timeout);
+        let shard = build_shard(&world, &partition, id, outs, ins, stall_timeout);
         ShardHost {
             core: SimCore {
                 failed_up: vec![false; world.len()],
@@ -298,7 +293,7 @@ impl<Q: SimQueue<PacketEvent> + Default + Send> ShardHost<Q> {
 
     /// Invalidates every cached copy of `doc` outside the home server —
     /// the barrier-replicated twin of
-    /// [`ParPacketSim::invalidate`](crate::GenericParPacketSim::invalidate).
+    /// [`ParPacketSim::invalidate`](crate::ParPacketSim::invalidate).
     ///
     /// # Errors
     ///
@@ -310,7 +305,7 @@ impl<Q: SimQueue<PacketEvent> + Default + Send> ShardHost<Q> {
 
     /// A cache server joins as a new leaf under `parent` at the current
     /// barrier — the barrier-replicated twin of
-    /// [`ParPacketSim::add_leaf`](crate::GenericParPacketSim::add_leaf).
+    /// [`ParPacketSim::add_leaf`](crate::ParPacketSim::add_leaf).
     ///
     /// # Errors
     ///
@@ -321,7 +316,7 @@ impl<Q: SimQueue<PacketEvent> + Default + Send> ShardHost<Q> {
 
     /// A leaf cache server departs at the current barrier — the
     /// barrier-replicated twin of
-    /// [`ParPacketSim::remove_leaf`](crate::GenericParPacketSim::remove_leaf).
+    /// [`ParPacketSim::remove_leaf`](crate::ParPacketSim::remove_leaf).
     ///
     /// # Errors
     ///
@@ -333,7 +328,7 @@ impl<Q: SimQueue<PacketEvent> + Default + Send> ShardHost<Q> {
 
     /// Publishes a document at the current barrier — the
     /// barrier-replicated twin of
-    /// [`ParPacketSim::publish_doc`](crate::GenericParPacketSim::publish_doc).
+    /// [`ParPacketSim::publish_doc`](crate::ParPacketSim::publish_doc).
     ///
     /// # Errors
     ///
@@ -344,7 +339,7 @@ impl<Q: SimQueue<PacketEvent> + Default + Send> ShardHost<Q> {
 
     /// Replaces the whole demand mix at the current barrier — the
     /// barrier-replicated twin of
-    /// [`ParPacketSim::set_mix`](crate::GenericParPacketSim::set_mix).
+    /// [`ParPacketSim::set_mix`](crate::ParPacketSim::set_mix).
     ///
     /// # Errors
     ///
@@ -354,7 +349,7 @@ impl<Q: SimQueue<PacketEvent> + Default + Send> ShardHost<Q> {
     }
 
     /// Opens a barrier batch — the barrier-replicated twin of
-    /// [`ParPacketSim::begin_batch`](crate::GenericParPacketSim::begin_batch).
+    /// [`ParPacketSim::begin_batch`](crate::ParPacketSim::begin_batch).
     /// Every participant of a distributed run opens and commits the same
     /// batch so their replicated state stays bit-identical.
     ///
@@ -374,30 +369,5 @@ impl<Q: SimQueue<PacketEvent> + Default + Send> ShardHost<Q> {
     /// Panics if no batch is open.
     pub fn commit_batch(&mut self) {
         ops::commit_batch(&mut self.core, &mut self.store);
-    }
-
-    /// Applies a rebalance plan to the replicated bookkeeping — the
-    /// barrier-replicated twin of the in-process controller's
-    /// migration step. Only a *replica* (a host holding no shard) can
-    /// mirror a plan: migration moves state between two shards, and a
-    /// single-shard worker holds at most one side. The distributed
-    /// runtime therefore rejects the rebalance knob at launch with a
-    /// typed `ww_dist::DistError::Unsupported`; this entry point
-    /// exists so a coordinator replica *could* track an in-process
-    /// rebalanced run's partition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a barrier batch is open, or if this host holds a shard
-    /// touched by any migration (one-sided migration is unsupported by
-    /// construction).
-    pub fn apply_rebalance(&mut self, plan: &crate::rebalance::RebalancePlan) {
-        for m in &plan.moves {
-            assert!(
-                self.store.shard_mut(m.from).is_none() && self.store.shard_mut(m.to).is_none(),
-                "a single-shard host cannot apply migrations touching its shard"
-            );
-        }
-        ops::apply_rebalance(&mut self.core, &mut self.store, plan);
     }
 }

@@ -12,10 +12,13 @@
 //! * [`ParPacketSim`] runs one event loop per shard, synchronizing via
 //!   timestamped wire messages with null-message promises
 //!   (Chandy–Misra–Bryant), quiescing at every diffusion-epoch boundary
-//!   to sample the convergence trace. The shard-to-shard hot path rides
-//!   lock-free SPSC rings with per-lookahead-window batching and a
-//!   one-event merge stage per wire (see [`PdesTuning`]); the legacy
-//!   channel transport stays selectable for comparison;
+//!   to sample the convergence trace. There is one hot path: pending
+//!   events in a radix queue, and shard-to-shard wires on lock-free SPSC
+//!   rings that publish once per lookahead window, with a one-event
+//!   merge stage per wire (see [`transport`]). The legacy MPMC channel,
+//!   per-event publishing and binary-heap paths it replaced are gone;
+//!   their comparison stays on record in the `parallel_scaling` rows of
+//!   `BENCH_webfold_scaling.json`;
 //! * [`rebalance`] makes the partition *adaptive*: at epoch barriers a
 //!   pure function of the deterministic per-shard event counters can
 //!   re-peel the tree by observed load and migrate subtree ownership —
@@ -54,10 +57,8 @@ pub mod partition;
 pub mod rebalance;
 pub mod transport;
 
-pub use engine::{GenericParPacketSim, HeapParPacketSim, ParPacketSim, PdesTuning};
-pub use host::{PacketShardHost, ShardHost, DEFAULT_STALL_TIMEOUT};
+pub use engine::ParPacketSim;
+pub use host::{ShardHost, DEFAULT_STALL_TIMEOUT};
 pub use partition::{partition_subtrees, Partition};
 pub use rebalance::{rebalance_plan, LoadSummary, Migration, RebalanceConfig, RebalancePlan};
-pub use transport::{
-    LinkError, StageError, Transport, TransportKind, Wire, WireReceiver, WireSender,
-};
+pub use transport::{LinkError, StageError, Wire, WireReceiver, WireSender};

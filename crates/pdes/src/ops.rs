@@ -14,9 +14,9 @@
 //! operation's arguments.
 //!
 //! The one exception is [`apply_rebalance`], which by design moves
-//! state *between* shards: it requires both ends of every migration to
-//! be held (or neither), so it runs only in-process or on a pure
-//! replica — never on a single-shard distributed worker.
+//! state *between* shards: it needs both ends of every migration, so
+//! it runs only in-process, over every shard — never on a single-shard
+//! distributed worker.
 //!
 //! [`SimCore`] carries that replicated bookkeeping; [`ShardStore`]
 //! abstracts shard ownership.
@@ -48,31 +48,31 @@ pub(crate) struct SimCore {
 /// Shard ownership: which of the partition's shards this participant
 /// holds in memory. Operations skip nodes of shards `shard_mut` returns
 /// `None` for.
-pub(crate) trait ShardStore<Q> {
+pub(crate) trait ShardStore {
     /// The shard with id `id`, if held.
-    fn shard_mut(&mut self, id: usize) -> Option<&mut Shard<Q>>;
+    fn shard_mut(&mut self, id: usize) -> Option<&mut Shard>;
 
     /// Visits every held shard.
-    fn for_each(&mut self, f: &mut dyn FnMut(&mut Shard<Q>));
+    fn for_each(&mut self, f: &mut dyn FnMut(&mut Shard));
 }
 
 /// A store holding at most one shard — a distributed worker (exactly
 /// one) or the coordinator's replica (none).
 #[derive(Debug)]
-pub(crate) struct SingleStore<Q> {
+pub(crate) struct SingleStore {
     pub(crate) id: usize,
-    pub(crate) shard: Option<Shard<Q>>,
+    pub(crate) shard: Option<Shard>,
 }
 
-impl<Q> ShardStore<Q> for SingleStore<Q> {
-    fn shard_mut(&mut self, id: usize) -> Option<&mut Shard<Q>> {
+impl ShardStore for SingleStore {
+    fn shard_mut(&mut self, id: usize) -> Option<&mut Shard> {
         match &mut self.shard {
             Some(shard) if id == self.id => Some(shard),
             _ => None,
         }
     }
 
-    fn for_each(&mut self, f: &mut dyn FnMut(&mut Shard<Q>)) {
+    fn for_each(&mut self, f: &mut dyn FnMut(&mut Shard)) {
         if let Some(shard) = &mut self.shard {
             f(shard);
         }
@@ -80,9 +80,9 @@ impl<Q> ShardStore<Q> for SingleStore<Q> {
 }
 
 /// The state of node `j`, when its shard is held.
-fn state_mut<'a, Q: 'a>(
+fn state_mut<'a>(
     core: &SimCore,
-    store: &'a mut impl ShardStore<Q>,
+    store: &'a mut impl ShardStore,
     j: usize,
 ) -> Option<&'a mut NodeState> {
     let s = core.partition.shard_of[j];
@@ -120,9 +120,9 @@ pub(crate) fn heal_link(core: &mut SimCore, node: NodeId) -> bool {
 
 /// Invalidates every cached copy of `doc` outside the home server (one
 /// charged invalidation message per revoked copy).
-pub(crate) fn invalidate<Q: SimQueue<PacketEvent>>(
+pub(crate) fn invalidate(
     core: &mut SimCore,
-    store: &mut impl ShardStore<Q>,
+    store: &mut impl ShardStore,
     doc: DocId,
 ) -> Result<(), ModelError> {
     let Some(k) = core.world.table.index_of(doc) else {
@@ -154,9 +154,9 @@ pub(crate) fn invalidate<Q: SimQueue<PacketEvent>>(
 /// and fresh first arrivals are scheduled in global node order — so each
 /// node's events keep the same relative order they get in the sequential
 /// queue.
-fn rebuild_arrivals<Q: SimQueue<PacketEvent>>(
+fn rebuild_arrivals(
     core: &mut SimCore,
-    store: &mut impl ShardStore<Q>,
+    store: &mut impl ShardStore,
     growth: Option<&UniverseGrowth>,
 ) {
     store.for_each(&mut |shard| {
@@ -170,10 +170,7 @@ fn rebuild_arrivals<Q: SimQueue<PacketEvent>>(
 /// The scheduling half of [`rebuild_arrivals`], for callers whose own
 /// queue surgery already dropped the stale arrivals (a leave's
 /// [`packet::renumber_for_leave`] pass).
-fn reschedule_arrivals<Q: SimQueue<PacketEvent>>(
-    core: &mut SimCore,
-    store: &mut impl ShardStore<Q>,
-) {
+fn reschedule_arrivals(core: &mut SimCore, store: &mut impl ShardStore) {
     let at = core.horizon;
     let mut outbox = Vec::new();
     for j in 0..core.world.len() {
@@ -197,9 +194,9 @@ fn reschedule_arrivals<Q: SimQueue<PacketEvent>>(
 
 /// A cache server joins as a new leaf under `parent` at the current
 /// barrier. The newcomer is hosted by its parent's shard.
-pub(crate) fn add_leaf<Q: SimQueue<PacketEvent>>(
+pub(crate) fn add_leaf(
     core: &mut SimCore,
-    store: &mut impl ShardStore<Q>,
+    store: &mut impl ShardStore,
     parent: NodeId,
     rate: f64,
 ) -> Result<NodeId, ModelError> {
@@ -245,9 +242,9 @@ pub(crate) fn add_leaf<Q: SimQueue<PacketEvent>>(
 /// swap-remove; the renumbered former-last node stays on its own shard,
 /// so the compaction is a pure bookkeeping move — no node state crosses
 /// a shard boundary.
-pub(crate) fn remove_leaf<Q: SimQueue<PacketEvent>>(
+pub(crate) fn remove_leaf(
     core: &mut SimCore,
-    store: &mut impl ShardStore<Q>,
+    store: &mut impl ShardStore,
     node: NodeId,
 ) -> Result<LeafRemoval, ModelError> {
     let at = core.horizon;
@@ -298,11 +295,7 @@ pub(crate) fn remove_leaf<Q: SimQueue<PacketEvent>>(
 /// (the home server also receives the only copy of each new document),
 /// then re-resolves the arrival stage — the shared tail of every
 /// demand-changing barrier operation.
-fn apply_growth<Q: SimQueue<PacketEvent>>(
-    core: &mut SimCore,
-    store: &mut impl ShardStore<Q>,
-    growth: Option<UniverseGrowth>,
-) {
+fn apply_growth(core: &mut SimCore, store: &mut impl ShardStore, growth: Option<UniverseGrowth>) {
     let at = core.horizon.as_secs();
     if let Some(g) = &growth {
         let root = core.world.tree.root();
@@ -321,9 +314,9 @@ fn apply_growth<Q: SimQueue<PacketEvent>>(
 }
 
 /// Publishes a document at the current barrier.
-pub(crate) fn publish_doc<Q: SimQueue<PacketEvent>>(
+pub(crate) fn publish_doc(
     core: &mut SimCore,
-    store: &mut impl ShardStore<Q>,
+    store: &mut impl ShardStore,
     doc: DocId,
     origin: NodeId,
     rate: f64,
@@ -334,9 +327,9 @@ pub(crate) fn publish_doc<Q: SimQueue<PacketEvent>>(
 }
 
 /// Replaces the whole demand mix at the current barrier.
-pub(crate) fn set_mix<Q: SimQueue<PacketEvent>>(
+pub(crate) fn set_mix(
     core: &mut SimCore,
-    store: &mut impl ShardStore<Q>,
+    store: &mut impl ShardStore,
     mix: &ww_workload::DocMix,
 ) -> Result<(), ModelError> {
     let growth = core.world.set_mix(mix)?;
@@ -358,19 +351,17 @@ pub(crate) fn set_mix<Q: SimQueue<PacketEvent>>(
 /// relative order (the only order the node-local protocol can observe)
 /// is therefore preserved bit-for-bit.
 ///
-/// Unlike churn ops, migration is all-or-nothing per move: the caller
-/// must hold **both** the donor and the recipient shard, or neither
-/// (a replica mirroring bookkeeping). Holding exactly one is a logic
-/// error — the distributed runtime rejects the rebalance knob up
-/// front, so its single-shard workers never reach this path.
+/// Unlike churn ops, migration moves state between two shards, so it
+/// takes every shard of the partition — the distributed runtime
+/// rejects the rebalance knob up front, so its single-shard workers
+/// never reach this path.
 ///
 /// # Panics
 ///
-/// Panics if a barrier batch is open, or if exactly one side of a
-/// migration is held.
-pub(crate) fn apply_rebalance<Q: SimQueue<PacketEvent>>(
+/// Panics if a barrier batch is open.
+pub(crate) fn apply_rebalance(
     core: &mut SimCore,
-    store: &mut impl ShardStore<Q>,
+    shards: &mut [Shard],
     plan: &crate::rebalance::RebalancePlan,
 ) {
     assert!(
@@ -400,77 +391,64 @@ pub(crate) fn apply_rebalance<Q: SimQueue<PacketEvent>>(
     donors.sort_unstable();
     donors.dedup();
     for &from in &donors {
-        if let Some(shard) = store.shard_mut(from) {
-            for (t, key, ev) in shard
-                .queue
-                .extract_events(|ev| bucket_of[ev.node().index()] != u32::MAX)
-            {
-                let b = bucket_of[ev.node().index()] as usize;
-                debug_assert_eq!(plan.moves[b].from, from, "event outside its owner's queue");
-                buckets[b].push((t, key, ev));
-            }
+        for (t, key, ev) in shards[from]
+            .queue
+            .extract_events(|ev| bucket_of[ev.node().index()] != u32::MAX)
+        {
+            let b = bucket_of[ev.node().index()] as usize;
+            debug_assert_eq!(plan.moves[b].from, from, "event outside its owner's queue");
+            buckets[b].push((t, key, ev));
         }
     }
     for (i, m) in plan.moves.iter().enumerate() {
         let node = m.node.index();
         debug_assert_eq!(core.partition.shard_of[node], m.from, "stale plan");
         let old_li = core.partition.local_index[node] as usize;
-        let mut carried: Vec<(SimTime, u64, Pending)> = Vec::new();
-        let mut state: Option<NodeState> = None;
-        if let Some(shard) = store.shard_mut(m.from) {
-            for (t, key, ev) in buckets[i].drain(..) {
-                carried.push((t, key, Pending::Event(ev)));
-            }
-            // At a barrier every member's timers are armed (handlers
-            // rearm immediately after each pop).
-            let (gt, gseq) = shard
-                .gossip_ring
-                .fire_entry(old_li)
-                .expect("gossip timer armed at the barrier");
-            carried.push((gt, gseq, Pending::Gossip(gt)));
-            let (dt, dseq) = shard
-                .diffusion_ring
-                .fire_entry(old_li)
-                .expect("diffusion timer armed at the barrier");
-            carried.push((dt, dseq, Pending::Diffusion(dt)));
-            // All keys came from one merge domain (the donor's counter
-            // plus content-derived inbound keys), so they are unique
-            // and (time, key) is the donor's delivery order.
-            carried.sort_unstable_by_key(|&(at, key, _)| (at, key));
-            state = Some(shard.states.swap_remove(old_li));
-            shard.gossip_ring.swap_remove_member(old_li);
-            shard.diffusion_ring.swap_remove_member(old_li);
-            shard.window_events.swap_remove(old_li);
-        }
+        let donor = &mut shards[m.from];
+        let mut carried: Vec<(SimTime, u64, Pending)> = buckets[i]
+            .drain(..)
+            .map(|(t, key, ev)| (t, key, Pending::Event(ev)))
+            .collect();
+        // At a barrier every member's timers are armed (handlers rearm
+        // immediately after each pop).
+        let (gt, gseq) = donor
+            .gossip_ring
+            .fire_entry(old_li)
+            .expect("gossip timer armed at the barrier");
+        carried.push((gt, gseq, Pending::Gossip(gt)));
+        let (dt, dseq) = donor
+            .diffusion_ring
+            .fire_entry(old_li)
+            .expect("diffusion timer armed at the barrier");
+        carried.push((dt, dseq, Pending::Diffusion(dt)));
+        // All keys came from one merge domain (the donor's counter plus
+        // content-derived inbound keys), so they are unique and
+        // (time, key) is the donor's delivery order.
+        carried.sort_unstable_by_key(|&(at, key, _)| (at, key));
+        let state = donor.states.swap_remove(old_li);
+        donor.gossip_ring.swap_remove_member(old_li);
+        donor.diffusion_ring.swap_remove_member(old_li);
+        donor.window_events.swap_remove(old_li);
         let (from, li, new_li) = core.partition.move_node(node, m.to);
         debug_assert_eq!((from, li), (m.from, old_li));
-        match store.shard_mut(m.to) {
-            Some(shard) => {
-                let state =
-                    state.expect("migration donor and recipient must be co-hosted (or neither)");
-                debug_assert_eq!(new_li, shard.states.len());
-                shard.states.push(state);
-                assert_eq!(shard.gossip_ring.add_member(), new_li);
-                assert_eq!(shard.diffusion_ring.add_member(), new_li);
-                shard.window_events.push(0);
-                for (t, _key, item) in carried {
-                    match item {
-                        Pending::Event(ev) => shard.queue.schedule(t, ev),
-                        Pending::Gossip(fire) => {
-                            let seq = shard.queue.alloc_seq();
-                            shard.gossip_ring.insert(new_li, fire, seq);
-                        }
-                        Pending::Diffusion(fire) => {
-                            let seq = shard.queue.alloc_seq();
-                            shard.diffusion_ring.insert(new_li, fire, seq);
-                        }
-                    }
+        let shard = &mut shards[m.to];
+        debug_assert_eq!(new_li, shard.states.len());
+        shard.states.push(state);
+        assert_eq!(shard.gossip_ring.add_member(), new_li);
+        assert_eq!(shard.diffusion_ring.add_member(), new_li);
+        shard.window_events.push(0);
+        for (t, _key, item) in carried {
+            match item {
+                Pending::Event(ev) => shard.queue.schedule(t, ev),
+                Pending::Gossip(fire) => {
+                    let seq = shard.queue.alloc_seq();
+                    shard.gossip_ring.insert(new_li, fire, seq);
+                }
+                Pending::Diffusion(fire) => {
+                    let seq = shard.queue.alloc_seq();
+                    shard.diffusion_ring.insert(new_li, fire, seq);
                 }
             }
-            None => assert!(
-                state.is_none(),
-                "migration donor and recipient must be co-hosted (or neither)"
-            ),
         }
     }
 }
@@ -495,10 +473,7 @@ pub(crate) fn begin_batch(core: &mut SimCore) {
 /// # Panics
 ///
 /// Panics if no batch is open.
-pub(crate) fn commit_batch<Q: SimQueue<PacketEvent>>(
-    core: &mut SimCore,
-    store: &mut impl ShardStore<Q>,
-) {
+pub(crate) fn commit_batch(core: &mut SimCore, store: &mut impl ShardStore) {
     let steps = core.batch.take().expect("no open barrier batch");
     core.world.end_batch();
     if !steps.is_empty() {

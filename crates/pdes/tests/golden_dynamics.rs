@@ -4,7 +4,7 @@
 //! workload shifts, documents are published and invalidated, links fail
 //! and heal — all applied at epoch barriers through the shared barrier
 //! pipeline. Also pins the worker-folded convergence-trace sample
-//! bit-identical to the pre-fold driver-side `O(n)` pass.
+//! bit-identical to the sequential driver's node-order `O(n)` pass.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -12,7 +12,7 @@ use ww_core::packet::BarrierOp;
 use ww_core::packetsim::{PacketSim, PacketSimConfig, PacketSimReport};
 use ww_model::{DocId, NodeId, Tree};
 use ww_net::TrafficClass;
-use ww_pdes::{ParPacketSim, PdesTuning, TransportKind};
+use ww_pdes::ParPacketSim;
 use ww_topology::paper;
 use ww_workload::DocMix;
 
@@ -271,8 +271,8 @@ fn churned_run_matches_sequential_at_every_worker_count() {
 
 #[test]
 fn churned_run_matches_sequential_with_batching_on_and_off() {
-    // Full dynamics at packet fidelity, with the lookahead-window batch
-    // publish both enabled and disabled: neither mode may shift a bit.
+    // Full dynamics at packet fidelity on the window-batched publish
+    // path: no worker count may shift a bit.
     let (tree, mix) = random_mix(0xD11B, 30);
     let config = PacketSimConfig {
         seed: 3,
@@ -282,19 +282,13 @@ fn churned_run_matches_sequential_with_batching_on_and_off() {
     let mut seq = PacketSim::new(&tree, &mix, config);
     let seq_report = replay(&mut seq, &script);
     for workers in [1, 2, 4, 8] {
-        for batching in [true, false] {
-            let tuning = PdesTuning {
-                transport: TransportKind::SpscRing,
-                batching,
-            };
-            let mut par = ParPacketSim::with_tuning(&tree, &mix, config, workers, tuning);
-            let par_report = replay(&mut par, &script);
-            assert_reports_identical(
-                &seq_report,
-                &par_report,
-                &format!("churn workers={workers} batching={batching}"),
-            );
-        }
+        let mut par = ParPacketSim::new(&tree, &mix, config, workers);
+        let par_report = replay(&mut par, &script);
+        assert_reports_identical(
+            &seq_report,
+            &par_report,
+            &format!("churn workers={workers}"),
+        );
     }
 }
 
@@ -460,24 +454,26 @@ fn rejected_op_mid_batch_leaves_survivors_identical() {
 #[test]
 fn folded_trace_sample_matches_driver_side_pass_event_free() {
     // The acceptance pin: on an event-free run, the worker-folded trace
-    // sample is bit-identical to the pre-fold driver-side O(n) pass.
+    // sample is bit-identical to the driver-side O(n) node-order pass,
+    // which the sequential `PacketSim` performs at the same instants.
     let (tree, mix) = random_mix(0xF01D, 60);
     let config = PacketSimConfig {
         seed: 5,
         ..PacketSimConfig::default()
     };
+    let reference = PacketSim::new(&tree, &mix, config).run(10.0);
     for workers in [2, 4, 8] {
-        let mut folded = ParPacketSim::new(&tree, &mix, config, workers);
-        let mut reference = ParPacketSim::new(&tree, &mix, config, workers);
-        reference.set_driver_side_trace(true);
-        let a = folded.run(10.0);
-        let b = reference.run(10.0);
+        let folded = ParPacketSim::new(&tree, &mix, config, workers).run(10.0);
         assert_eq!(
-            bits(a.trace.distances()),
-            bits(b.trace.distances()),
+            bits(folded.trace.distances()),
+            bits(reference.trace.distances()),
             "folded vs driver-side trace diverges at workers={workers}"
         );
-        assert_reports_identical(&a, &b, &format!("fold reference workers={workers}"));
+        assert_reports_identical(
+            &reference,
+            &folded,
+            &format!("fold reference workers={workers}"),
+        );
     }
 }
 
@@ -486,11 +482,10 @@ fn folded_trace_sample_matches_driver_side_pass_under_churn() {
     let (tree, mix) = random_mix(0xF01E, 30);
     let config = PacketSimConfig::default();
     let script = full_dynamics_script(&tree);
+    let mut reference = PacketSim::new(&tree, &mix, config);
     let mut folded = ParPacketSim::new(&tree, &mix, config, 4);
-    let mut reference = ParPacketSim::new(&tree, &mix, config, 4);
-    reference.set_driver_side_trace(true);
-    let a = replay(&mut folded, &script);
-    let b = replay(&mut reference, &script);
+    let a = replay(&mut reference, &script);
+    let b = replay(&mut folded, &script);
     assert_reports_identical(&a, &b, "fold reference under churn");
 }
 

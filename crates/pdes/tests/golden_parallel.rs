@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use ww_core::packetsim::{PacketSim, PacketSimConfig, PacketSimReport};
 use ww_model::{DocId, NodeId, Tree};
 use ww_net::TrafficClass;
-use ww_pdes::{HeapParPacketSim, ParPacketSim, PdesTuning, TransportKind};
+use ww_pdes::ParPacketSim;
 use ww_topology::paper;
 use ww_workload::DocMix;
 
@@ -113,48 +113,17 @@ fn random_tree_matches_sequential_at_every_worker_count() {
 
 #[test]
 fn tuning_matrix_matches_sequential() {
-    // The acceptance pin for the transport rework: every combination of
-    // worker count, transport, and window batching replays the
+    // The acceptance pin for the hot path (SPSC rings, window-batched
+    // publication, radix queue): every worker count replays the
     // sequential engine bit for bit — including the processed-event
     // count.
     let (tree, mix) = fig7_mix();
     let config = PacketSimConfig::default();
     let seq = PacketSim::new(&tree, &mix, config).run(12.0);
     for workers in [1, 2, 4, 8] {
-        for batching in [true, false] {
-            let tuning = PdesTuning {
-                transport: TransportKind::SpscRing,
-                batching,
-            };
-            let par = ParPacketSim::with_tuning(&tree, &mix, config, workers, tuning).run(12.0);
-            assert_reports_identical(
-                &seq,
-                &par,
-                &format!("spsc workers={workers} batching={batching}"),
-            );
-        }
+        let par = ParPacketSim::new(&tree, &mix, config, workers).run(12.0);
+        assert_reports_identical(&seq, &par, &format!("workers={workers}"));
     }
-    // The legacy per-event channel transport stays bit-identical too.
-    let tuning = PdesTuning {
-        transport: TransportKind::MpmcChannel,
-        batching: false,
-    };
-    let par = ParPacketSim::with_tuning(&tree, &mix, config, 4, tuning).run(12.0);
-    assert_reports_identical(&seq, &par, "mpmc workers=4");
-}
-
-#[test]
-fn heap_queue_engine_matches_radix_engine() {
-    // Queue-implementation independence: the BinaryHeap-backed engine
-    // replays the radix-backed default bit for bit.
-    let (tree, mix) = random_mix(0xBEEF);
-    let config = PacketSimConfig {
-        seed: 9,
-        ..PacketSimConfig::default()
-    };
-    let a = ParPacketSim::new(&tree, &mix, config, 4).run(6.0);
-    let b = HeapParPacketSim::new(&tree, &mix, config, 4).run(6.0);
-    assert_reports_identical(&a, &b, "heap vs radix engine");
 }
 
 #[test]

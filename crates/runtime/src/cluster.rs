@@ -12,10 +12,15 @@
 //! The run is asynchronous (threads interleave at the scheduler's whim),
 //! so this is the Bertsekas-Tsitsiklis regime: convergence to TLB is
 //! approximate within the gossip staleness, and the tests bound the final
-//! distance rather than demanding exactness.
+//! distance rather than demanding exactness. That regime assumes bounded
+//! staleness, so each server also publishes how many rounds it has
+//! started, and waits rather than run more than a few rounds ahead of a
+//! neighbor. Without the bound, a starved thread on a busy host could
+//! find its neighbors finished and the result far from TLB.
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use ww_core::fold::webfold;
@@ -42,6 +47,10 @@ pub enum Message {
         amount: f64,
     },
 }
+
+/// How many rounds a server may run ahead of its slowest neighbor — the
+/// staleness bound of the partially asynchronous model.
+const MAX_LEAD: usize = 8;
 
 /// Configuration of a threaded cluster run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -135,6 +144,10 @@ pub fn run_cluster(tree: &Tree, spontaneous: &RateVector, config: ClusterConfig)
 
     let results = Arc::new(Mutex::new(vec![0.0f64; n]));
     let message_count = Arc::new(Mutex::new(0u64));
+    // Rounds each server has started: a server waits before running more
+    // than `MAX_LEAD` rounds ahead of any neighbor, so staleness stays
+    // bounded however unevenly the scheduler runs the threads.
+    let progress: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
 
     thread::scope(|scope| {
         for (i, rx_slot) in rxs.iter_mut().enumerate() {
@@ -164,12 +177,19 @@ pub fn run_cluster(tree: &Tree, spontaneous: &RateVector, config: ClusterConfig)
             let total_demand = spontaneous.total();
             let results = Arc::clone(&results);
             let message_count = Arc::clone(&message_count);
+            let progress = &progress;
 
             scope.spawn(move || {
                 // Cold start: the root serves everything.
                 let mut load = if is_root { total_demand } else { 0.0 };
                 let mut sent = 0u64;
-                for _ in 0..config.rounds {
+                for round in 0..config.rounds {
+                    while neighbors.iter().any(|nb| {
+                        progress[nb.id.index()].load(Ordering::Relaxed) + MAX_LEAD < round
+                    }) {
+                        thread::yield_now();
+                    }
+                    progress[i].store(round, Ordering::Relaxed);
                     // Drain the mailbox: gossip updates and transfers.
                     while let Ok(msg) = rx.try_recv() {
                         match msg {

@@ -2,11 +2,11 @@
 //! and the baseline schemes.
 //!
 //! The round-stepped engines (`RateWave`, `DocSim`, `ForestWave`)
-//! implement the trait directly. The packet simulators advance one
-//! diffusion period of simulated time per engine round — sequentially
-//! ([`PacketEngine`]) or across subtree shards ([`ParPacketEngine`],
-//! bit-identical at every worker count); the threaded cluster
-//! ([`ClusterEngine`]) and the baseline schemes ([`BaselineEngine`]) are
+//! implement the trait directly. The three packet simulators —
+//! sequential, sharded in-process and distributed — share one adapter
+//! that advances one diffusion period of simulated time per engine
+//! round, bit-identical on every backend and worker count. The threaded
+//! cluster ([`ClusterEngine`]) and the baseline schemes ([`BaselineEngine`]) are
 //! one-shot engines that do all their work in a single step and then
 //! report [`StepOutcome::Done`].
 
@@ -15,14 +15,16 @@ use crate::events::{Event, EventError};
 use crate::spec::BaselineScheme;
 use ww_baselines::SchemeReport;
 use ww_core::docsim::DocSim;
+use ww_core::packet::{BarrierOp, BarrierOutcome};
 use ww_core::packetsim::{PacketSim, PacketSimConfig, PacketSimReport};
 use ww_core::wave::RateWave;
-use ww_dist::{DistOptions, DistPacketSim};
+use ww_dist::{DistError, DistOptions, DistPacketSim};
 use ww_forest::ForestWave;
-use ww_model::{NodeId, RateVector, Tree};
-use ww_pdes::ParPacketSim;
+use ww_model::{ModelError, NodeId, RateVector, Tree};
+use ww_pdes::{ParPacketSim, RebalanceConfig};
 use ww_runtime::{run_cluster, ClusterConfig, ClusterReport};
 use ww_telemetry::{Level, Snapshot};
+use ww_workload::DocMix;
 
 /// Wraps an engine-level failure into the typed event rejection.
 fn invalid(event: &Event, reason: impl std::fmt::Display) -> EventError {
@@ -369,479 +371,131 @@ impl Engine for ForestWave {
     }
 }
 
-/// The packet-level simulator behind the unified API: one engine round
-/// advances the event-driven simulation by one diffusion period of
-/// simulated time.
-#[derive(Debug)]
-pub struct PacketEngine {
-    sim: PacketSim,
-    diffusion_period: f64,
-    epochs: usize,
-    last: Option<PacketSimReport>,
+/// One packet-level simulator behind [`PacketEngine`]: the sequential
+/// [`PacketSim`], the sharded [`ParPacketSim`] or the distributed
+/// [`DistPacketSim`]. Each method forwards to the simulator's own
+/// method of the same name; all three report the same bits.
+pub(crate) trait PacketBackend {
+    /// The engine kind, matching the spec spelling.
+    const KIND: &'static str;
+    /// Why the simulator rejects a barrier operation.
+    type Error: std::fmt::Display;
+    fn run(&mut self, duration: f64) -> PacketSimReport;
+    fn oracle(&self) -> &RateVector;
+    fn tree(&self) -> &Tree;
+    fn apply_op(&mut self, op: &BarrierOp) -> Result<BarrierOutcome, Self::Error>;
+    fn begin_batch(&mut self);
+    fn commit_batch(&mut self);
+    fn set_telemetry(&mut self, level: Level);
+    fn telemetry_snapshot(&self) -> Snapshot;
 }
 
-impl PacketEngine {
-    /// Wraps a configured simulator; `config.diffusion_period` becomes
-    /// the engine-round length.
-    pub fn new(tree: &Tree, mix: &ww_workload::DocMix, config: PacketSimConfig) -> Self {
-        PacketEngine {
-            sim: PacketSim::new(tree, mix, config),
-            diffusion_period: config.diffusion_period,
-            epochs: 0,
-            last: None,
-        }
+impl PacketBackend for PacketSim {
+    const KIND: &'static str = "packet_sim";
+    type Error = ModelError;
+
+    fn run(&mut self, duration: f64) -> PacketSimReport {
+        PacketSim::run(self, duration)
     }
 
-    /// The most recent full packet-level report, if any step has run.
-    pub fn last_report(&self) -> Option<&PacketSimReport> {
-        self.last.as_ref()
-    }
-}
-
-impl Engine for PacketEngine {
-    fn kind(&self) -> &'static str {
-        "packet_sim"
+    fn oracle(&self) -> &RateVector {
+        PacketSim::oracle(self)
     }
 
-    fn step(&mut self) -> StepOutcome {
-        self.epochs += 1;
-        let deadline = self.diffusion_period * self.epochs as f64;
-        self.last = Some(self.sim.run(deadline));
-        StepOutcome::Running
+    fn tree(&self) -> &Tree {
+        PacketSim::tree(self)
     }
 
-    fn round(&self) -> usize {
-        self.epochs
+    fn apply_op(&mut self, op: &BarrierOp) -> Result<BarrierOutcome, ModelError> {
+        PacketSim::apply_op(self, op)
     }
 
-    fn convergence(&self) -> Option<f64> {
-        self.last.as_ref().map(|r| r.final_distance)
+    fn begin_batch(&mut self) {
+        PacketSim::begin_batch(self);
     }
 
-    fn load(&self) -> Option<RateVector> {
-        self.last.as_ref().map(|r| r.served_rates.clone())
-    }
-
-    fn max_load(&self) -> Option<f64> {
-        self.last.as_ref().map(|r| r.served_rates.max())
-    }
-
-    fn oracle(&self) -> Option<RateVector> {
-        Some(self.sim.oracle().clone())
-    }
-
-    fn trace(&self) -> Option<Vec<f64>> {
-        self.last.as_ref().map(|r| r.trace.distances().to_vec())
-    }
-
-    fn metrics(&self, sink: &mut dyn MetricSink) {
-        if let Some(r) = &self.last {
-            sink.metric("final_distance", r.final_distance);
-            sink.metric("served_requests", r.served_requests as f64);
-            sink.metric("mean_hops", r.mean_hops);
-            sink.metric("copy_pushes", r.copy_pushes as f64);
-            sink.metric("tunnel_fetches", r.tunnel_fetches as f64);
-            sink.metric(
-                "control_msgs_per_request",
-                r.ledger.control_overhead_per_request(),
-            );
-        }
-    }
-
-    /// The packet engine honors the full event grammar: churn, link
-    /// failures, document lifecycle, and workload shifts (which need a
-    /// `doc_mix` — rates alone cannot parameterize Poisson arrival
-    /// streams). Churn and shifts apply through the barrier pipeline:
-    /// the arrival stage is re-resolved at the epoch boundary between
-    /// engine rounds.
-    fn apply(&mut self, event: &Event) -> Result<(), EventError> {
-        match event {
-            Event::NodeJoin { parent, rate } => self
-                .sim
-                .add_leaf(*parent, *rate)
-                .map(|_| ())
-                .map_err(|e| invalid(event, e)),
-            Event::NodeLeave { node } => self
-                .sim
-                .remove_leaf(*node)
-                .map(|_| ())
-                .map_err(|e| invalid(event, e)),
-            Event::DocPublish { doc, origin, rate } => self
-                .sim
-                .publish_doc(*doc, *origin, *rate)
-                .map_err(|e| invalid(event, e)),
-            Event::DocUpdate { doc } => self.sim.invalidate(*doc).map_err(|e| invalid(event, e)),
-            Event::LinkFail { node } => {
-                check_uplink(self.sim.tree(), *node, event)?;
-                self.sim.fail_link(*node);
-                Ok(())
-            }
-            Event::LinkHeal { node } => {
-                check_uplink(self.sim.tree(), *node, event)?;
-                self.sim.heal_link(*node);
-                Ok(())
-            }
-            Event::WorkloadShift {
-                doc_mix: Some(mix), ..
-            } => self.sim.set_mix(mix).map_err(|e| invalid(event, e)),
-            Event::WorkloadShift { doc_mix: None, .. } => Err(invalid(
-                event,
-                "the packet_sim engine needs a doc_mix in a workload_shift",
-            )),
-        }
-    }
-
-    fn barrier_begin(&mut self) {
-        self.sim.begin_batch();
-    }
-
-    fn barrier_commit(&mut self) {
-        self.sim.commit_batch();
+    fn commit_batch(&mut self) {
+        PacketSim::commit_batch(self);
     }
 
     fn set_telemetry(&mut self, level: Level) {
-        self.sim.set_telemetry(level);
+        PacketSim::set_telemetry(self, level);
     }
 
-    fn telemetry(&self) -> Option<Snapshot> {
-        let snap = self.sim.telemetry_snapshot();
-        (!snap.is_empty()).then_some(snap)
-    }
-}
-
-/// The sharded parallel packet simulator behind the unified API: one
-/// engine round advances every subtree shard by one diffusion period and
-/// quiesces at the epoch barrier. Reported numbers are bit-identical to
-/// [`PacketEngine`] at every worker count.
-#[derive(Debug)]
-pub struct ParPacketEngine {
-    sim: ParPacketSim,
-    diffusion_period: f64,
-    epochs: usize,
-    last: Option<PacketSimReport>,
-}
-
-impl ParPacketEngine {
-    /// Wraps a configured parallel simulator; `config.diffusion_period`
-    /// becomes the engine-round length.
-    pub fn new(
-        tree: &Tree,
-        mix: &ww_workload::DocMix,
-        config: PacketSimConfig,
-        workers: usize,
-    ) -> Self {
-        ParPacketEngine {
-            sim: ParPacketSim::new(tree, mix, config, workers),
-            diffusion_period: config.diffusion_period,
-            epochs: 0,
-            last: None,
-        }
-    }
-
-    /// Like [`ParPacketEngine::new`], with adaptive shard rebalancing
-    /// armed when `rebalance` is `Some`. The knob changes which thread
-    /// executes which node, never the simulated trace — reported bits
-    /// stay identical to the sequential engine either way.
-    pub fn with_rebalance(
-        tree: &Tree,
-        mix: &ww_workload::DocMix,
-        config: PacketSimConfig,
-        workers: usize,
-        rebalance: Option<ww_pdes::RebalanceConfig>,
-    ) -> Self {
-        let mut engine = ParPacketEngine::new(tree, mix, config, workers);
-        engine.sim.set_rebalance(rebalance);
-        engine
-    }
-
-    /// The most recent full packet-level report, if any step has run.
-    pub fn last_report(&self) -> Option<&PacketSimReport> {
-        self.last.as_ref()
-    }
-
-    /// Number of subtree shards (worker threads) the run uses.
-    pub fn shard_count(&self) -> usize {
-        self.sim.shard_count()
+    fn telemetry_snapshot(&self) -> Snapshot {
+        PacketSim::telemetry_snapshot(self)
     }
 }
 
-impl Engine for ParPacketEngine {
-    fn kind(&self) -> &'static str {
-        "packet_sim_par"
+impl PacketBackend for ParPacketSim {
+    const KIND: &'static str = "packet_sim_par";
+    type Error = ModelError;
+
+    fn run(&mut self, duration: f64) -> PacketSimReport {
+        ParPacketSim::run(self, duration)
     }
 
-    fn step(&mut self) -> StepOutcome {
-        self.epochs += 1;
-        let deadline = self.diffusion_period * self.epochs as f64;
-        self.last = Some(self.sim.run(deadline));
-        StepOutcome::Running
+    fn oracle(&self) -> &RateVector {
+        ParPacketSim::oracle(self)
     }
 
-    fn round(&self) -> usize {
-        self.epochs
+    fn tree(&self) -> &Tree {
+        ParPacketSim::tree(self)
     }
 
-    fn convergence(&self) -> Option<f64> {
-        self.last.as_ref().map(|r| r.final_distance)
+    fn apply_op(&mut self, op: &BarrierOp) -> Result<BarrierOutcome, ModelError> {
+        ParPacketSim::apply_op(self, op)
     }
 
-    fn load(&self) -> Option<RateVector> {
-        self.last.as_ref().map(|r| r.served_rates.clone())
+    fn begin_batch(&mut self) {
+        ParPacketSim::begin_batch(self);
     }
 
-    fn max_load(&self) -> Option<f64> {
-        self.last.as_ref().map(|r| r.served_rates.max())
-    }
-
-    fn oracle(&self) -> Option<RateVector> {
-        Some(self.sim.oracle().clone())
-    }
-
-    fn trace(&self) -> Option<Vec<f64>> {
-        self.last.as_ref().map(|r| r.trace.distances().to_vec())
-    }
-
-    fn metrics(&self, sink: &mut dyn MetricSink) {
-        if let Some(r) = &self.last {
-            sink.metric("final_distance", r.final_distance);
-            sink.metric("served_requests", r.served_requests as f64);
-            sink.metric("mean_hops", r.mean_hops);
-            sink.metric("copy_pushes", r.copy_pushes as f64);
-            sink.metric("tunnel_fetches", r.tunnel_fetches as f64);
-            sink.metric(
-                "control_msgs_per_request",
-                r.ledger.control_overhead_per_request(),
-            );
-        }
-    }
-
-    /// The full event grammar of the sequential packet engine, applied
-    /// at the epoch barrier between rounds through the same shared
-    /// barrier pipeline — a given dynamics spec therefore reports
-    /// identical bits at every worker count.
-    fn apply(&mut self, event: &Event) -> Result<(), EventError> {
-        match event {
-            Event::NodeJoin { parent, rate } => self
-                .sim
-                .add_leaf(*parent, *rate)
-                .map(|_| ())
-                .map_err(|e| invalid(event, e)),
-            Event::NodeLeave { node } => self
-                .sim
-                .remove_leaf(*node)
-                .map(|_| ())
-                .map_err(|e| invalid(event, e)),
-            Event::DocPublish { doc, origin, rate } => self
-                .sim
-                .publish_doc(*doc, *origin, *rate)
-                .map_err(|e| invalid(event, e)),
-            Event::DocUpdate { doc } => self.sim.invalidate(*doc).map_err(|e| invalid(event, e)),
-            Event::LinkFail { node } => {
-                check_uplink(self.sim.tree(), *node, event)?;
-                self.sim.fail_link(*node);
-                Ok(())
-            }
-            Event::LinkHeal { node } => {
-                check_uplink(self.sim.tree(), *node, event)?;
-                self.sim.heal_link(*node);
-                Ok(())
-            }
-            Event::WorkloadShift {
-                doc_mix: Some(mix), ..
-            } => self.sim.set_mix(mix).map_err(|e| invalid(event, e)),
-            Event::WorkloadShift { doc_mix: None, .. } => Err(invalid(
-                event,
-                "the packet_sim_par engine needs a doc_mix in a workload_shift",
-            )),
-        }
-    }
-
-    fn barrier_begin(&mut self) {
-        self.sim.begin_batch();
-    }
-
-    fn barrier_commit(&mut self) {
-        self.sim.commit_batch();
+    fn commit_batch(&mut self) {
+        ParPacketSim::commit_batch(self);
     }
 
     fn set_telemetry(&mut self, level: Level) {
-        self.sim.set_telemetry(level);
+        ParPacketSim::set_telemetry(self, level);
     }
 
-    fn telemetry(&self) -> Option<Snapshot> {
-        let snap = self.sim.telemetry_snapshot();
-        (!snap.is_empty()).then_some(snap)
-    }
-}
-
-/// The distributed packet simulator behind the unified API: the shards
-/// live in other OS processes (or threads) and speak the PDES wire
-/// protocol over TCP — reported numbers stay bit-identical to
-/// [`PacketEngine`] at every worker count.
-///
-/// The [`Engine`] trait has no error channel in `step`, so a transport
-/// failure mid-run (worker death, stalled wire) panics with the typed
-/// [`DistError`](ww_dist::DistError)'s message; the scenario runner has
-/// no way to continue a run whose workers are gone.
-#[derive(Debug)]
-pub struct DistPacketEngine {
-    sim: DistPacketSim,
-    diffusion_period: f64,
-    epochs: usize,
-    last: Option<PacketSimReport>,
-}
-
-impl DistPacketEngine {
-    /// Launches the distributed run; `config.diffusion_period` becomes
-    /// the engine-round length.
-    ///
-    /// # Errors
-    ///
-    /// [`ww_dist::DistError`] when the workers cannot be brought up, or
-    /// `DistError::Unsupported` when `rebalance` is `Some` — adaptive
-    /// shard rebalancing would migrate node state between single-shard
-    /// worker processes, which the wire protocol does not carry. The
-    /// knob is rejected up front rather than silently dropped, so a
-    /// distributed run can never quietly diverge from what was asked.
-    pub fn launch(
-        tree: &Tree,
-        mix: &ww_workload::DocMix,
-        config: PacketSimConfig,
-        workers: usize,
-        options: DistOptions,
-        rebalance: Option<ww_pdes::RebalanceConfig>,
-    ) -> Result<Self, ww_dist::DistError> {
-        if rebalance.is_some() {
-            return Err(ww_dist::DistError::Unsupported {
-                detail: "adaptive shard rebalancing (drop the `rebalance` block, or run \
-                         in-process with `packet_sim_par`)"
-                    .into(),
-            });
-        }
-        Ok(DistPacketEngine {
-            sim: DistPacketSim::launch(tree, mix, config, workers, options)?,
-            diffusion_period: config.diffusion_period,
-            epochs: 0,
-            last: None,
-        })
-    }
-
-    /// The most recent full packet-level report, if any step has run.
-    pub fn last_report(&self) -> Option<&PacketSimReport> {
-        self.last.as_ref()
-    }
-
-    /// Number of subtree shards (worker processes) the run uses.
-    pub fn shard_count(&self) -> usize {
-        self.sim.shard_count()
+    fn telemetry_snapshot(&self) -> Snapshot {
+        ParPacketSim::telemetry_snapshot(self)
     }
 }
 
-impl Engine for DistPacketEngine {
-    fn kind(&self) -> &'static str {
-        "packet_sim_dist"
+/// The [`Engine`] trait has no error channel in `step` or in the batch
+/// hooks, so a transport failure there (worker death, stalled wire)
+/// panics with the typed [`DistError`]'s message; the scenario runner
+/// has no way to continue a run whose workers are gone.
+impl PacketBackend for DistPacketSim {
+    const KIND: &'static str = "packet_sim_dist";
+    type Error = DistError;
+
+    fn run(&mut self, duration: f64) -> PacketSimReport {
+        DistPacketSim::run(self, duration).unwrap_or_else(|e| panic!("distributed run failed: {e}"))
     }
 
-    fn step(&mut self) -> StepOutcome {
-        self.epochs += 1;
-        let deadline = self.diffusion_period * self.epochs as f64;
-        match self.sim.run(deadline) {
-            Ok(report) => self.last = Some(report),
-            Err(e) => panic!("distributed run failed: {e}"),
-        }
-        StepOutcome::Running
+    fn oracle(&self) -> &RateVector {
+        DistPacketSim::oracle(self)
     }
 
-    fn round(&self) -> usize {
-        self.epochs
+    fn tree(&self) -> &Tree {
+        DistPacketSim::tree(self)
     }
 
-    fn convergence(&self) -> Option<f64> {
-        self.last.as_ref().map(|r| r.final_distance)
+    fn apply_op(&mut self, op: &BarrierOp) -> Result<BarrierOutcome, DistError> {
+        DistPacketSim::apply_op(self, op)
     }
 
-    fn load(&self) -> Option<RateVector> {
-        self.last.as_ref().map(|r| r.served_rates.clone())
-    }
-
-    fn max_load(&self) -> Option<f64> {
-        self.last.as_ref().map(|r| r.served_rates.max())
-    }
-
-    fn oracle(&self) -> Option<RateVector> {
-        Some(self.sim.oracle().clone())
-    }
-
-    fn trace(&self) -> Option<Vec<f64>> {
-        self.last.as_ref().map(|r| r.trace.distances().to_vec())
-    }
-
-    fn metrics(&self, sink: &mut dyn MetricSink) {
-        if let Some(r) = &self.last {
-            sink.metric("final_distance", r.final_distance);
-            sink.metric("served_requests", r.served_requests as f64);
-            sink.metric("mean_hops", r.mean_hops);
-            sink.metric("copy_pushes", r.copy_pushes as f64);
-            sink.metric("tunnel_fetches", r.tunnel_fetches as f64);
-            sink.metric(
-                "control_msgs_per_request",
-                r.ledger.control_overhead_per_request(),
-            );
-        }
-    }
-
-    /// The full event grammar of the sequential packet engine, applied
-    /// at the epoch barrier and broadcast to every worker process. A
-    /// dead worker during an event surfaces as the event's rejection
-    /// (the run cannot continue either way).
-    fn apply(&mut self, event: &Event) -> Result<(), EventError> {
-        match event {
-            Event::NodeJoin { parent, rate } => self
-                .sim
-                .add_leaf(*parent, *rate)
-                .map(|_| ())
-                .map_err(|e| invalid(event, e)),
-            Event::NodeLeave { node } => self
-                .sim
-                .remove_leaf(*node)
-                .map(|_| ())
-                .map_err(|e| invalid(event, e)),
-            Event::DocPublish { doc, origin, rate } => self
-                .sim
-                .publish_doc(*doc, *origin, *rate)
-                .map_err(|e| invalid(event, e)),
-            Event::DocUpdate { doc } => self.sim.invalidate(*doc).map_err(|e| invalid(event, e)),
-            Event::LinkFail { node } => {
-                check_uplink(self.sim.tree(), *node, event)?;
-                self.sim.fail_link(*node).map_err(|e| invalid(event, e))?;
-                Ok(())
-            }
-            Event::LinkHeal { node } => {
-                check_uplink(self.sim.tree(), *node, event)?;
-                self.sim.heal_link(*node).map_err(|e| invalid(event, e))?;
-                Ok(())
-            }
-            Event::WorkloadShift {
-                doc_mix: Some(mix), ..
-            } => self.sim.set_mix(mix).map_err(|e| invalid(event, e)),
-            Event::WorkloadShift { doc_mix: None, .. } => Err(invalid(
-                event,
-                "the packet_sim_dist engine needs a doc_mix in a workload_shift",
-            )),
-        }
-    }
-
-    /// The [`Engine`] hooks have no error channel; as with
-    /// [`DistPacketEngine::step`], a transport failure while opening or
-    /// closing the batch window panics with the typed error's message.
-    fn barrier_begin(&mut self) {
-        if let Err(e) = self.sim.begin_batch() {
+    fn begin_batch(&mut self) {
+        if let Err(e) = DistPacketSim::begin_batch(self) {
             panic!("distributed batch begin failed: {e}");
         }
     }
 
-    fn barrier_commit(&mut self) {
-        if let Err(e) = self.sim.commit_batch() {
+    fn commit_batch(&mut self) {
+        if let Err(e) = DistPacketSim::commit_batch(self) {
             panic!("distributed batch commit failed: {e}");
         }
     }
@@ -850,6 +504,172 @@ impl Engine for DistPacketEngine {
     /// [`DistOptions::telemetry`] (the runner sets it before resolving
     /// the engine), because it decides handshake timing capture.
     fn set_telemetry(&mut self, _level: Level) {}
+
+    fn telemetry_snapshot(&self) -> Snapshot {
+        DistPacketSim::telemetry_snapshot(self)
+    }
+}
+
+/// A packet-level simulator behind the unified API: one engine round
+/// advances the event-driven simulation by one diffusion period of
+/// simulated time, and events apply at the epoch barrier between
+/// rounds. Reported numbers are bit-identical whichever backend runs.
+#[derive(Debug)]
+pub(crate) struct PacketEngine<B> {
+    sim: B,
+    diffusion_period: f64,
+    epochs: usize,
+    last: Option<PacketSimReport>,
+}
+
+impl<B: PacketBackend> PacketEngine<B> {
+    /// Wraps a configured simulator; `diffusion_period` (the one in its
+    /// configuration) becomes the engine-round length.
+    pub(crate) fn new(sim: B, diffusion_period: f64) -> Self {
+        PacketEngine {
+            sim,
+            diffusion_period,
+            epochs: 0,
+            last: None,
+        }
+    }
+}
+
+impl PacketEngine<DistPacketSim> {
+    /// Launches the distributed run.
+    ///
+    /// # Errors
+    ///
+    /// [`DistError`] when the workers cannot be brought up, or
+    /// `DistError::Unsupported` when `rebalance` is `Some` — adaptive
+    /// shard rebalancing would migrate node state between single-shard
+    /// worker processes, which the wire protocol does not carry. The
+    /// knob is rejected up front rather than silently dropped, so a
+    /// distributed run can never quietly diverge from what was asked.
+    pub(crate) fn launch(
+        tree: &Tree,
+        mix: &DocMix,
+        config: PacketSimConfig,
+        workers: usize,
+        options: DistOptions,
+        rebalance: Option<RebalanceConfig>,
+    ) -> Result<Self, DistError> {
+        if rebalance.is_some() {
+            return Err(DistError::Unsupported {
+                detail: "adaptive shard rebalancing (drop the `rebalance` block, or run \
+                         in-process with `packet_sim_par`)"
+                    .into(),
+            });
+        }
+        let sim = DistPacketSim::launch(tree, mix, config, workers, options)?;
+        Ok(PacketEngine::new(sim, config.diffusion_period))
+    }
+}
+
+impl<B: PacketBackend> Engine for PacketEngine<B> {
+    fn kind(&self) -> &'static str {
+        B::KIND
+    }
+
+    fn step(&mut self) -> StepOutcome {
+        self.epochs += 1;
+        let deadline = self.diffusion_period * self.epochs as f64;
+        self.last = Some(self.sim.run(deadline));
+        StepOutcome::Running
+    }
+
+    fn round(&self) -> usize {
+        self.epochs
+    }
+
+    fn convergence(&self) -> Option<f64> {
+        self.last.as_ref().map(|r| r.final_distance)
+    }
+
+    fn load(&self) -> Option<RateVector> {
+        self.last.as_ref().map(|r| r.served_rates.clone())
+    }
+
+    fn max_load(&self) -> Option<f64> {
+        self.last.as_ref().map(|r| r.served_rates.max())
+    }
+
+    fn oracle(&self) -> Option<RateVector> {
+        Some(self.sim.oracle().clone())
+    }
+
+    fn trace(&self) -> Option<Vec<f64>> {
+        self.last.as_ref().map(|r| r.trace.distances().to_vec())
+    }
+
+    fn metrics(&self, sink: &mut dyn MetricSink) {
+        if let Some(r) = &self.last {
+            sink.metric("final_distance", r.final_distance);
+            sink.metric("served_requests", r.served_requests as f64);
+            sink.metric("mean_hops", r.mean_hops);
+            sink.metric("copy_pushes", r.copy_pushes as f64);
+            sink.metric("tunnel_fetches", r.tunnel_fetches as f64);
+            sink.metric(
+                "control_msgs_per_request",
+                r.ledger.control_overhead_per_request(),
+            );
+        }
+    }
+
+    /// The packet engines honor the full event grammar: churn, link
+    /// failures, document lifecycle, and workload shifts (which need a
+    /// `doc_mix` — rates alone cannot parameterize Poisson arrival
+    /// streams). Each event becomes one [`BarrierOp`] through the
+    /// backend's shared barrier pipeline, so a given dynamics spec
+    /// reports identical bits on every backend and worker count.
+    fn apply(&mut self, event: &Event) -> Result<(), EventError> {
+        let op = match event {
+            Event::NodeJoin { parent, rate } => BarrierOp::AddLeaf {
+                parent: *parent,
+                rate: *rate,
+            },
+            Event::NodeLeave { node } => BarrierOp::RemoveLeaf { node: *node },
+            Event::DocPublish { doc, origin, rate } => BarrierOp::PublishDoc {
+                doc: *doc,
+                origin: *origin,
+                rate: *rate,
+            },
+            Event::DocUpdate { doc } => BarrierOp::Invalidate { doc: *doc },
+            Event::LinkFail { node } => {
+                check_uplink(self.sim.tree(), *node, event)?;
+                BarrierOp::FailLink { node: *node }
+            }
+            Event::LinkHeal { node } => {
+                check_uplink(self.sim.tree(), *node, event)?;
+                BarrierOp::HealLink { node: *node }
+            }
+            Event::WorkloadShift {
+                doc_mix: Some(mix), ..
+            } => BarrierOp::SetMix { mix: mix.clone() },
+            Event::WorkloadShift { doc_mix: None, .. } => {
+                return Err(invalid(
+                    event,
+                    format!("the {} engine needs a doc_mix in a workload_shift", B::KIND),
+                ))
+            }
+        };
+        self.sim
+            .apply_op(&op)
+            .map(|_| ())
+            .map_err(|e| invalid(event, e))
+    }
+
+    fn barrier_begin(&mut self) {
+        self.sim.begin_batch();
+    }
+
+    fn barrier_commit(&mut self) {
+        self.sim.commit_batch();
+    }
+
+    fn set_telemetry(&mut self, level: Level) {
+        self.sim.set_telemetry(level);
+    }
 
     fn telemetry(&self) -> Option<Snapshot> {
         let snap = self.sim.telemetry_snapshot();
@@ -1087,5 +907,79 @@ impl Engine for BaselineEngine {
             &mut self.rates,
             event,
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ww_dist::DistMode;
+
+    /// The three packet backends behind the one adapter, on the paper's
+    /// Figure 7 tree: sequential, in-process with 2 workers, and
+    /// distributed over loopback sockets with 2 worker threads.
+    fn packet_engines(tree: &Tree, mix: &DocMix) -> Vec<Box<dyn Engine>> {
+        let config = PacketSimConfig::default();
+        let period = config.diffusion_period;
+        let threads = DistOptions {
+            mode: DistMode::Threads,
+            ..DistOptions::default()
+        };
+        let dist = PacketEngine::<DistPacketSim>::launch(tree, mix, config, 2, threads, None)
+            .expect("loopback launch");
+        vec![
+            Box::new(PacketEngine::new(PacketSim::new(tree, mix, config), period)),
+            Box::new(PacketEngine::new(
+                ParPacketSim::new(tree, mix, config, 2),
+                period,
+            )),
+            Box::new(dist),
+        ]
+    }
+
+    #[test]
+    fn every_packet_backend_rejects_and_reports_alike() {
+        let fig7 = ww_topology::paper::fig7();
+        let mut mix = DocMix::new(fig7.tree.len());
+        for d in &fig7.demands {
+            mix.set(d.origin, d.doc, d.rate);
+        }
+        let root = fig7.tree.root();
+        let rates_only = Event::WorkloadShift {
+            rates: Some(RateVector::from(vec![10.0; fig7.tree.len()])),
+            doc_mix: None,
+        };
+        let mut kinds = Vec::new();
+        let mut metric_keys = Vec::new();
+        for mut engine in packet_engines(&fig7.tree, &mix) {
+            let kind = engine.kind();
+            match engine.apply(&rates_only) {
+                Err(EventError::Invalid { reason, .. }) => {
+                    assert!(reason.contains(kind), "{kind}: reason {reason:?}");
+                }
+                other => panic!("{kind}: rates-only shift gave {other:?}"),
+            }
+            for event in [
+                Event::LinkFail { node: root },
+                Event::LinkHeal { node: root },
+            ] {
+                let result = engine.apply(&event);
+                assert!(
+                    matches!(result, Err(EventError::Invalid { .. })),
+                    "{kind}: {} on the root gave {result:?}",
+                    event.kind()
+                );
+            }
+            engine.step();
+            let mut sink: Vec<(String, f64)> = Vec::new();
+            engine.metrics(&mut sink);
+            kinds.push(kind);
+            metric_keys.push(sink.into_iter().map(|(key, _)| key).collect::<Vec<_>>());
+        }
+        assert_eq!(kinds, ["packet_sim", "packet_sim_par", "packet_sim_dist"]);
+        assert!(!metric_keys[0].is_empty());
+        for (kind, keys) in kinds.iter().zip(&metric_keys) {
+            assert_eq!(keys, &metric_keys[0], "{kind} emits different metric keys");
+        }
     }
 }

@@ -88,9 +88,7 @@ pub mod json;
 pub mod runner;
 pub mod spec;
 
-pub use adapters::{
-    BaselineEngine, BaselineParams, ClusterEngine, DistPacketEngine, PacketEngine, ParPacketEngine,
-};
+pub use adapters::{BaselineEngine, BaselineParams, ClusterEngine};
 pub use engine::{Engine, EngineReport, MetricSink, NullObserver, Observer, StepOutcome};
 pub use error::SpecError;
 pub use events::{

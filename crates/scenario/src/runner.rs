@@ -16,9 +16,7 @@
 //! run's metric stream and text report. Static specs are driven by the
 //! untouched pre-dynamics loop, so their traces stay bit-identical.
 
-use crate::adapters::{
-    BaselineEngine, BaselineParams, ClusterEngine, DistPacketEngine, PacketEngine, ParPacketEngine,
-};
+use crate::adapters::{BaselineEngine, BaselineParams, ClusterEngine, PacketEngine};
 use crate::engine::{Engine, EngineReport, NullObserver, Observer, StepOutcome};
 use crate::error::SpecError;
 use crate::events::{Event, EventError, EventKindSpec, EventMarker, EventSpec, EventsSpec};
@@ -31,11 +29,12 @@ use serde_json::{Map, Value};
 use std::fmt::Write as _;
 use std::time::Instant;
 use ww_core::docsim::{DocSim, DocSimConfig};
-use ww_core::packetsim::PacketSimConfig;
+use ww_core::packetsim::{PacketSim, PacketSimConfig};
 use ww_core::wave::{RateWave, WaveConfig};
-use ww_dist::DistOptions;
+use ww_dist::{DistOptions, DistPacketSim};
 use ww_forest::{Coupling, Forest, ForestWave, ForestWaveConfig};
 use ww_model::{NodeId, RateVector, Tree};
+use ww_pdes::ParPacketSim;
 use ww_runtime::ClusterConfig;
 use ww_telemetry::TraceWriter;
 use ww_topology::{paper, Graph};
@@ -977,6 +976,21 @@ fn resolve_mix(
     })
 }
 
+/// The sharded packet engines' own knobs: a positive link delay (their
+/// conservative lookahead) and at least one worker.
+fn check_sharded(link_delay: f64, workers: usize, engine: &str) -> Result<(), SpecError> {
+    if link_delay <= 0.0 {
+        return Err(SpecError::at(
+            "engine.link_delay",
+            format!("the {engine} engine needs a positive link delay (its conservative lookahead)"),
+        ));
+    }
+    if workers == 0 {
+        return Err(SpecError::at("engine.workers", "must be at least 1"));
+    }
+    Ok(())
+}
+
 fn require_mix(mix: Option<DocMix>, engine: &str) -> Result<DocMix, SpecError> {
     mix.ok_or_else(|| {
         SpecError::at(
@@ -1040,30 +1054,8 @@ fn resolve_engine(spec: &ScenarioSpec, dist: &DistOptions) -> Result<Box<dyn Eng
             gossip_loss,
             hysteresis,
             noise_sigmas,
-        } => {
-            let mix = require_mix(mix, "packet_sim")?;
-            if *diffusion_period <= 0.0 {
-                return Err(SpecError::at("engine.diffusion_period", "must be positive"));
-            }
-            Box::new(PacketEngine::new(
-                &topo.tree,
-                &mix,
-                PacketSimConfig {
-                    seed: spec.seed,
-                    link_delay: *link_delay,
-                    gossip_period: *gossip_period,
-                    diffusion_period: *diffusion_period,
-                    measure_window: *measure_window,
-                    alpha: *alpha,
-                    tunneling: *tunneling,
-                    barrier_patience: *barrier_patience,
-                    gossip_loss: *gossip_loss,
-                    hysteresis: *hysteresis,
-                    noise_sigmas: *noise_sigmas,
-                },
-            ))
         }
-        EngineSpec::PacketSimPar {
+        | EngineSpec::PacketSimPar {
             alpha,
             tunneling,
             barrier_patience,
@@ -1074,42 +1066,9 @@ fn resolve_engine(spec: &ScenarioSpec, dist: &DistOptions) -> Result<Box<dyn Eng
             gossip_loss,
             hysteresis,
             noise_sigmas,
-            workers,
-        } => {
-            let mix = require_mix(mix, "packet_sim_par")?;
-            if *diffusion_period <= 0.0 {
-                return Err(SpecError::at("engine.diffusion_period", "must be positive"));
-            }
-            if *link_delay <= 0.0 {
-                return Err(SpecError::at(
-                    "engine.link_delay",
-                    "the parallel engine needs a positive link delay (its conservative lookahead)",
-                ));
-            }
-            if *workers == 0 {
-                return Err(SpecError::at("engine.workers", "must be at least 1"));
-            }
-            Box::new(ParPacketEngine::with_rebalance(
-                &topo.tree,
-                &mix,
-                PacketSimConfig {
-                    seed: spec.seed,
-                    link_delay: *link_delay,
-                    gossip_period: *gossip_period,
-                    diffusion_period: *diffusion_period,
-                    measure_window: *measure_window,
-                    alpha: *alpha,
-                    tunneling: *tunneling,
-                    barrier_patience: *barrier_patience,
-                    gossip_loss: *gossip_loss,
-                    hysteresis: *hysteresis,
-                    noise_sigmas: *noise_sigmas,
-                },
-                *workers,
-                rebalance_config(spec),
-            ))
+            ..
         }
-        EngineSpec::PacketSimDist {
+        | EngineSpec::PacketSimDist {
             alpha,
             tunneling,
             barrier_patience,
@@ -1120,43 +1079,52 @@ fn resolve_engine(spec: &ScenarioSpec, dist: &DistOptions) -> Result<Box<dyn Eng
             gossip_loss,
             hysteresis,
             noise_sigmas,
-            workers,
+            ..
         } => {
-            let mix = require_mix(mix, "packet_sim_dist")?;
+            let mix = require_mix(mix, spec.engine.kind())?;
             if *diffusion_period <= 0.0 {
                 return Err(SpecError::at("engine.diffusion_period", "must be positive"));
             }
-            if *link_delay <= 0.0 {
-                return Err(SpecError::at(
-                    "engine.link_delay",
-                    "the distributed engine needs a positive link delay (its conservative lookahead)",
-                ));
+            let config = PacketSimConfig {
+                seed: spec.seed,
+                link_delay: *link_delay,
+                gossip_period: *gossip_period,
+                diffusion_period: *diffusion_period,
+                measure_window: *measure_window,
+                alpha: *alpha,
+                tunneling: *tunneling,
+                barrier_patience: *barrier_patience,
+                gossip_loss: *gossip_loss,
+                hysteresis: *hysteresis,
+                noise_sigmas: *noise_sigmas,
+            };
+            match &spec.engine {
+                EngineSpec::PacketSimPar { workers, .. } => {
+                    check_sharded(*link_delay, *workers, "parallel")?;
+                    let mut sim = ParPacketSim::new(&topo.tree, &mix, config, *workers);
+                    sim.set_rebalance(rebalance_config(spec));
+                    Box::new(PacketEngine::new(sim, config.diffusion_period))
+                }
+                EngineSpec::PacketSimDist { workers, .. } => {
+                    check_sharded(*link_delay, *workers, "distributed")?;
+                    let engine = PacketEngine::<DistPacketSim>::launch(
+                        &topo.tree,
+                        &mix,
+                        config,
+                        *workers,
+                        dist.clone(),
+                        rebalance_config(spec),
+                    )
+                    .map_err(|e| {
+                        SpecError::at("engine", format!("distributed launch failed: {e}"))
+                    })?;
+                    Box::new(engine)
+                }
+                _ => {
+                    let sim = PacketSim::new(&topo.tree, &mix, config);
+                    Box::new(PacketEngine::new(sim, config.diffusion_period))
+                }
             }
-            if *workers == 0 {
-                return Err(SpecError::at("engine.workers", "must be at least 1"));
-            }
-            let engine = DistPacketEngine::launch(
-                &topo.tree,
-                &mix,
-                PacketSimConfig {
-                    seed: spec.seed,
-                    link_delay: *link_delay,
-                    gossip_period: *gossip_period,
-                    diffusion_period: *diffusion_period,
-                    measure_window: *measure_window,
-                    alpha: *alpha,
-                    tunneling: *tunneling,
-                    barrier_patience: *barrier_patience,
-                    gossip_loss: *gossip_loss,
-                    hysteresis: *hysteresis,
-                    noise_sigmas: *noise_sigmas,
-                },
-                *workers,
-                dist.clone(),
-                rebalance_config(spec),
-            )
-            .map_err(|e| SpecError::at("engine", format!("distributed launch failed: {e}")))?;
-            Box::new(engine)
         }
         EngineSpec::ForestWave {
             alpha,
