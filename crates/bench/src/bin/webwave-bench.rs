@@ -651,9 +651,9 @@ fn bench_telemetry_overhead(
 
 /// Adaptive shard re-balancing on a flash-crowd workload: a ~130k-node
 /// binary tree where nearly all demand lands on one quarter-of-the-tree
-/// subtree — the static node-count peel hands that whole subtree to a
+/// subtree — the static node-count packing hands that whole subtree to a
 /// single shard, which then processes almost every event. The static
-/// partition against the adaptive re-peel (a `rebalance` block armed),
+/// partition against the adaptive re-pack (a `rebalance` block armed),
 /// with the per-shard event imbalance (max/mean) measured on a
 /// post-warmup window of epochs so the adaptive run is judged on its
 /// steady state, not its starting partition. Bit-identity static vs
@@ -743,8 +743,8 @@ fn bench_shard_rebalance(
     use ww_model::{NodeId, Tree};
     // Flash crowd: the subtree under node 3 (a quarter of a full binary
     // tree) carries 50x the per-node demand of everywhere else. The
-    // node-count peel makes that subtree exactly one shard; the
-    // bottleneck cut splits it at interior edges across several shards.
+    // node-count packing keeps that subtree whole on one shard; the
+    // weighted re-pack splits it at its root across several shards.
     let tree = ww_topology::k_ary(2, depth);
     let hot_root = NodeId::new(3);
     let in_hot = |tree: &Tree, mut u: NodeId| loop {
@@ -1219,7 +1219,7 @@ fn main() {
     eprintln!("webwave-bench: adaptive shard re-balancing (flash-crowd skew, static vs adaptive)");
     let rebalance = bench_shard_rebalance(16, 12, 4, 3, 3);
     eprintln!(
-        "  k_ary(2) nodes={} docs={} workers={} cores={} (trigger {:.2}, gap {}): window imbalance static {:.3} vs adaptive {:.3} ({:.2}x reduction), re-peels {} / {} nodes migrated, static {:.0} ms ({:.2} Mev/s over {} events) vs adaptive {:.0} ms ({:.2} Mev/s), traces_identical={}",
+        "  k_ary(2) nodes={} docs={} workers={} cores={} (trigger {:.2}, gap {}): window imbalance static {:.3} vs adaptive {:.3} ({:.2}x reduction), re-packs {} / {} nodes migrated, static {:.0} ms ({:.2} Mev/s over {} events) vs adaptive {:.0} ms ({:.2} Mev/s), traces_identical={}",
         rebalance.nodes,
         rebalance.docs,
         rebalance.workers,
@@ -1239,7 +1239,7 @@ fn main() {
         rebalance.traces_identical
     );
     eprintln!(
-        "    balanced control nodes={}: off {:.0} ms, armed {:.0} ms ({:+.2}%), re-peels {}",
+        "    balanced control nodes={}: off {:.0} ms, armed {:.0} ms ({:+.2}%), re-packs {}",
         rebalance.balanced_nodes,
         rebalance.balanced_off_ms,
         rebalance.balanced_armed_ms,
@@ -1248,7 +1248,7 @@ fn main() {
     );
     if rebalance.imbalance_reduction < 2.0 {
         eprintln!(
-            "webwave-bench: WARNING — adaptive re-peel only cut window imbalance {:.2}x (budget 2x)",
+            "webwave-bench: WARNING — adaptive re-pack only cut window imbalance {:.2}x (budget 2x)",
             rebalance.imbalance_reduction
         );
     }

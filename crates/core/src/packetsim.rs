@@ -16,7 +16,7 @@
 //! node-local, every random draw is content-keyed, and every cross-node
 //! effect is a timestamped message. This sequential driver is simply one
 //! event loop over the whole tree; the parallel driver runs one loop per
-//! subtree shard and produces bit-identical results.
+//! shard and produces bit-identical results.
 //!
 //! # Performance
 //!

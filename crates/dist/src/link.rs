@@ -1,26 +1,29 @@
 //! Socket-backed wire endpoints: [`WireSender`]/[`WireReceiver`] over a
-//! TCP stream, with one writer and one reader thread per connection.
+//! TCP stream, with one reader thread per connection.
 //!
 //! One TCP connection carries **both** directed wires of an adjacent
-//! shard pair (TCP is full duplex). The writer thread drains an
-//! unbounded in-process queue, coalescing whatever is immediately
-//! available into one `write_all` — so the shard's event loop never
-//! blocks on the socket, and a lookahead window's worth of messages
-//! costs one syscall, mirroring the SPSC ring's batched publication.
-//! The reader thread reassembles frames and hands [`Wire`] messages to
-//! the consuming shard through a second queue.
+//! shard pair (TCP is full duplex). The sending shard writes from its
+//! own thread: `stage` encodes a message into a byte buffer and
+//! `commit` writes the buffer with one `write_all`, so a lookahead
+//! window's worth of messages costs one syscall, mirroring the SPSC
+//! ring's batched publication. The reader thread reassembles frames and
+//! hands [`Wire`] messages to the consuming shard through an unbounded
+//! queue. Because every reader always drains its socket into that
+//! queue, a blocking write waits at most for the peer's reader, never
+//! for the peer's shard — two shards writing to each other cannot
+//! deadlock.
 //!
 //! TCP preserves per-connection byte order, the framing preserves
-//! message boundaries, and both in-process queues are FIFO — so the
-//! per-wire FIFO contract of [`ww_pdes::transport`] holds end to end,
-//! which is all the engine needs for bit-identical runs (every merge
-//! decision is content-derived, never timing-derived).
+//! message boundaries, and the inbound queue is FIFO — so the per-wire
+//! FIFO contract of [`ww_pdes::transport`] holds end to end, which is
+//! all the engine needs for bit-identical runs (every merge decision is
+//! content-derived, never timing-derived).
 //!
-//! Peer death is detected, never waited out: an EOF or I/O error on
-//! either thread latches a shared *dead* flag with a human-readable
-//! detail, and every subsequent `stage`/`try_recv` returns
-//! [`LinkError::Closed`]. Silence (a peer that is alive but wedged) is
-//! the shard's own stall timeout's job.
+//! Peer death is detected, never waited out: an EOF or I/O error on the
+//! reader, or a failed write at `commit`, latches a shared *dead* flag
+//! with a human-readable detail, and every subsequent `stage`, `commit`
+//! or `try_recv` returns [`LinkError::Closed`]. Silence (a peer that is
+//! alive but wedged) is the shard's own stall timeout's job.
 
 use crate::codec::{encode_msg, FrameBuffer, Msg};
 use std::io::{Read, Write};
@@ -61,13 +64,15 @@ impl LinkState {
     }
 }
 
-/// The sending half of one directed socket wire. `stage` enqueues to
-/// the writer thread and never blocks; `commit` is a no-op (the writer
-/// publishes continuously, coalescing bursts).
+/// The sending half of one directed socket wire. `stage` encodes into
+/// a byte buffer and never blocks; `commit` writes the buffer to the
+/// socket from the calling thread.
 #[derive(Debug)]
 pub struct SocketSender {
-    tx: Sender<Wire>,
-    state: Arc<LinkState>,
+    stream: TcpStream,
+    buf: Vec<u8>,
+    state: LinkState,
+    peer: String,
 }
 
 impl WireSender for SocketSender {
@@ -75,16 +80,34 @@ impl WireSender for SocketSender {
         if self.state.is_dead() {
             return Err(StageError::Link(self.state.error()));
         }
-        self.tx
-            .send(msg)
-            .map_err(|_| StageError::Link(self.state.error()))
+        encode_msg(&Msg::Wire(msg), &mut self.buf);
+        Ok(())
     }
 
     fn commit(&mut self) -> Result<(), LinkError> {
         if self.state.is_dead() {
             return Err(self.state.error());
         }
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        let written = self.stream.write_all(&self.buf);
+        self.buf.clear();
+        if let Err(e) = written {
+            let peer = &self.peer;
+            self.state
+                .mark_dead(format!("write to shard {peer} failed: {e}"));
+            return Err(self.state.error());
+        }
         Ok(())
+    }
+}
+
+impl Drop for SocketSender {
+    /// Half-closes the connection so the peer's reader sees EOF instead
+    /// of blocking forever once the run is over on our side.
+    fn drop(&mut self) {
+        let _ = self.stream.shutdown(Shutdown::Write);
     }
 }
 
@@ -116,9 +139,9 @@ impl WireReceiver for SocketReceiver {
 
 /// Splits one established shard-to-shard connection into its two wire
 /// endpoints: our outbound sender and our inbound receiver (the peer
-/// holds the mirror pair on its end). Spawns the connection's writer
-/// and reader threads; both exit on their own when the run ends (clean
-/// shutdown sends a TCP FIN) or the peer dies.
+/// holds the mirror pair on its end). Spawns the connection's reader
+/// thread, which exits on its own when the run ends (clean shutdown
+/// sends a TCP FIN) or the peer dies.
 ///
 /// # Errors
 ///
@@ -128,19 +151,10 @@ pub fn split_wires(
     peer: &str,
 ) -> std::io::Result<(SocketSender, SocketReceiver)> {
     stream.set_nodelay(true)?;
-    let write_half = stream.try_clone()?;
-    let read_half = stream;
+    let read_half = stream.try_clone()?;
 
-    let out_state = Arc::new(LinkState::default());
     let in_state = Arc::new(LinkState::default());
-    let (out_tx, out_rx) = channel::<Wire>();
     let (in_tx, in_rx) = channel::<Wire>();
-
-    let wstate = Arc::clone(&out_state);
-    let wpeer = peer.to_string();
-    std::thread::Builder::new()
-        .name(format!("ww-dist-writer-{peer}"))
-        .spawn(move || writer_loop(write_half, out_rx, &wstate, &wpeer))?;
 
     let rstate = Arc::clone(&in_state);
     let rpeer = peer.to_string();
@@ -150,39 +164,16 @@ pub fn split_wires(
 
     Ok((
         SocketSender {
-            tx: out_tx,
-            state: out_state,
+            stream,
+            buf: Vec::with_capacity(64 * 1024),
+            state: LinkState::default(),
+            peer: peer.to_string(),
         },
         SocketReceiver {
             rx: in_rx,
             state: in_state,
         },
     ))
-}
-
-fn writer_loop(mut stream: TcpStream, rx: Receiver<Wire>, state: &LinkState, peer: &str) {
-    let mut buf = Vec::with_capacity(64 * 1024);
-    loop {
-        // Block for the next message, then coalesce the burst behind it
-        // into a single write.
-        let Ok(first) = rx.recv() else {
-            // Sender dropped: the run is over on our side. Half-close so
-            // the peer's reader sees EOF instead of blocking forever.
-            let _ = stream.shutdown(Shutdown::Write);
-            return;
-        };
-        buf.clear();
-        encode_msg(&Msg::Wire(first), &mut buf);
-        while let Ok(more) = rx.try_recv() {
-            encode_msg(&Msg::Wire(more), &mut buf);
-        }
-        if let Err(e) = stream.write_all(&buf) {
-            state.mark_dead(format!("write to shard {peer} failed: {e}"));
-            // Drain until our sender notices and drops.
-            while rx.recv().is_ok() {}
-            return;
-        }
-    }
 }
 
 fn reader_loop(mut stream: TcpStream, tx: Sender<Wire>, state: &LinkState, peer: &str) {
@@ -292,14 +283,14 @@ mod tests {
                 other => panic!("expected Closed, got {other:?}"),
             }
         }
-        // The writer learns of the death on its next write attempt (or
-        // the one after, while the kernel buffers drain); staging keeps
-        // succeeding until then, which is fine — those messages are
+        // A write learns of the death on its first attempt or the one
+        // after, while the kernel buffers drain; those messages are
         // addressed to a peer that no longer observes anything.
         let mut saw_error = false;
         for i in 0..10_000 {
-            match tx.stage(promise(i as f64)) {
-                Err(StageError::Link(LinkError::Closed { .. })) => {
+            tx.stage(promise(i as f64)).unwrap();
+            match tx.commit() {
+                Err(LinkError::Closed { .. }) => {
                     saw_error = true;
                     break;
                 }

@@ -3,14 +3,16 @@
 //! [`ParPacketSim`] runs the exact node logic of
 //! [`ww_core::packet`] — the same handlers the sequential
 //! [`PacketSim`](ww_core::packetsim::PacketSim) drives — but splits the
-//! tree into connected subtree shards (see [`crate::partition`]) and
-//! runs one event loop per shard on its own worker thread.
+//! tree's nodes into shards packed by weight (see [`crate::partition`])
+//! and runs one event loop per shard on its own worker thread. Shards
+//! need not be connected subtrees.
 //!
 //! # Synchronization
 //!
 //! Shards exchange timestamped messages over wires, one directed wire
-//! per adjacent shard pair. Every cross-shard effect travels a cut tree
-//! edge and therefore arrives at least one
+//! per adjacent shard pair. Every cross-shard effect travels at least
+//! one tree edge whose ends sit on different shards and therefore
+//! arrives at least one
 //! [`link_delay`](ww_core::packet::PacketSimConfig::link_delay) after it
 //! was sent — that latency is the **lookahead**. A shard may safely
 //! process local events up to the minimum *promise* across its inbound
@@ -19,7 +21,10 @@
 //! (its own timestamp) and on explicit null messages
 //! (`min(next local event, inbound safe time) + lookahead`), the
 //! classic Chandy–Misra–Bryant recipe; positive lookahead makes the
-//! null-message ratchet terminate.
+//! null-message ratchet terminate. A null message goes out when the
+//! shard ran out of processable events, or once the promise has moved a
+//! full lookahead past the last one sent on that wire — a busy shard
+//! does not announce every small step.
 //!
 //! Once per diffusion period every shard quiesces at the epoch boundary
 //! (`EpochEnd` handshake), and the driver samples the global distance to
@@ -239,7 +244,7 @@ enum Source {
     Staged(usize),
 }
 
-/// One subtree shard: its nodes' states, its event loop machinery, and
+/// One shard: its nodes' states, its event loop machinery, and
 /// its links to adjacent shards.
 #[derive(Debug)]
 pub(crate) struct Shard {
@@ -726,7 +731,8 @@ fn run_epoch(
             Some(s) => s.min(t_end),
             None => t_end,
         };
-        progressed |= shard.process_until(sh, bound)?;
+        let processed = shard.process_until(sh, bound)?;
+        progressed |= processed;
 
         // Publish the window's outbound batch *before* promising: a
         // visible promise must never have unpublished events behind it.
@@ -744,10 +750,16 @@ fn run_epoch(
         if basis > t_end {
             basis = t_end;
         }
+        // While events flow, each one nudges the safe time a little;
+        // a promise goes out only once it has moved a full lookahead,
+        // or when the shard ran dry (so a stalled shard always tells
+        // its neighbors where it stands on the very next iteration).
         let promise = basis + lookahead;
         let mut promises = 0u64;
         for link in &mut shard.out_links {
-            if promise > link.last_promise {
+            if promise > link.last_promise
+                && (!processed || promise >= link.last_promise + lookahead)
+            {
                 link.last_promise = promise;
                 link.push(Wire::Promise { until: promise })?;
                 link.publish()?;
@@ -913,7 +925,7 @@ pub struct ParPacketSim {
 }
 
 impl ParPacketSim {
-    /// Builds a parallel simulator over `workers` subtree shards (capped
+    /// Builds a parallel simulator over `workers` shards (capped
     /// by what the topology yields).
     ///
     /// # Panics
@@ -980,7 +992,7 @@ impl ParPacketSim {
     /// barriers: when the window's max/mean per-shard event imbalance
     /// reaches [`RebalanceConfig::trigger_imbalance`], it computes a
     /// [`rebalance_plan`] from the
-    /// deterministic per-node event counts and migrates subtree
+    /// deterministic per-node event counts and migrates node
     /// ownership at the barrier. Purely a wall-clock optimization: the
     /// simulated trace and every reported simulation quantity are
     /// bit-identical with rebalancing on, off, or at any threshold —
@@ -1094,7 +1106,7 @@ impl ParPacketSim {
         snap
     }
 
-    /// Number of subtree shards (= worker threads) this run uses.
+    /// Number of shards (= worker threads) this run uses.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
@@ -1434,9 +1446,9 @@ impl ParPacketSim {
     /// A cache server joins as a new leaf under `parent` at the current
     /// barrier — the parallel twin of
     /// [`PacketSim::add_leaf`](ww_core::packetsim::PacketSim::add_leaf).
-    /// The newcomer is hosted by its parent's shard (subtree
-    /// connectivity, and therefore the cut-edge lookahead, is
-    /// preserved), its timers arm phase-staggered after the barrier, and
+    /// The newcomer is hosted by its parent's shard (so the join opens
+    /// no new cut pair and needs no new wire), its timers arm
+    /// phase-staggered after the barrier, and
     /// every arrival stream is re-resolved.
     ///
     /// # Errors

@@ -6,9 +6,10 @@
 //! (the node-local handlers of [`ww_core::packet`]) across worker
 //! threads:
 //!
-//! * [`partition`] splits the routing tree into connected subtree shards
-//!   of roughly equal size — cut edges are tree edges, whose link
-//!   latency is the conservative lookahead between shards;
+//! * [`partition`] packs the routing tree's subtrees into shards of
+//!   roughly equal weight — shards need not be connected, and every
+//!   cross-shard message crosses a tree edge, whose link latency is the
+//!   conservative lookahead between shards;
 //! * [`ParPacketSim`] runs one event loop per shard, synchronizing via
 //!   timestamped wire messages with null-message promises
 //!   (Chandy–Misra–Bryant), quiescing at every diffusion-epoch boundary
@@ -21,7 +22,7 @@
 //!   `BENCH_webfold_scaling.json`;
 //! * [`rebalance`] makes the partition *adaptive*: at epoch barriers a
 //!   pure function of the deterministic per-shard event counters can
-//!   re-peel the tree by observed load and migrate subtree ownership —
+//!   re-pack the tree by observed load and migrate node ownership —
 //!   without changing a single bit of the simulated trace.
 //!
 //! The result is **bit-identical** to the sequential simulator at every

@@ -1,28 +1,32 @@
-//! Deterministic subtree partitioning of the routing tree.
+//! Deterministic weighted partitioning of the routing tree.
 //!
-//! The parallel engine shards the tree into connected subtrees, one per
-//! worker. Cut edges are always tree edges, and every cross-node effect
-//! in the packet protocol pays at least one link delay per tree edge —
-//! so the link latency of the cut edges is exactly the conservative
-//! lookahead between shards.
+//! The parallel engine shards the tree's nodes, one shard per worker.
+//! Shards need not be connected: a shard is any set of nodes, and every
+//! cross-shard message still crosses at least one tree edge, which
+//! pays at least one link delay — so the link latency is the
+//! conservative lookahead between shards whatever the cut.
 //!
-//! The partitioner peels off the largest unassigned subtree that fits
-//! the per-shard node budget, repeating once per extra shard; the
-//! remainder (always containing the root) becomes shard 0. The
-//! procedure is a pure function of `(tree, shard count)` — no
-//! randomness, no iteration-order dependence — so every run of a given
-//! scenario shards identically.
+//! One packer, `pack`, makes every cut: largest-first (LPT) bin
+//! packing of subtrees by weight, splitting any subtree heavier than a
+//! shard's fair share into its root and its child subtrees. The static
+//! [`partition_subtrees`] packs with weight 1 per node; re-partitioning
+//! ([`rebalance_plan`](crate::rebalance_plan)) packs with observed event
+//! counts. The packer is a pure function of `(tree, shard count,
+//! weights)` — no randomness, no iteration-order dependence — so every
+//! run of a given scenario shards identically.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use ww_model::{NodeId, Tree};
 
-/// A partition of the tree's nodes into connected subtree shards.
+/// A partition of the tree's nodes into shards.
 #[derive(Debug, Clone)]
 pub struct Partition {
     /// Shard of every node.
     pub shard_of: Vec<usize>,
     /// Index of every node within its shard's `members` list.
     pub local_index: Vec<u32>,
-    /// Nodes of each shard. Freshly peeled partitions list members in
+    /// Nodes of each shard. Freshly packed partitions list members in
     /// ascending node-id order; churn and migration compact by
     /// swap-remove and append at the back, so the order is merely
     /// *deterministic*, not sorted — no consumer may rely on sortedness.
@@ -36,9 +40,9 @@ impl Partition {
     }
 
     /// Registers a node joining the simulated world: the newcomer takes
-    /// the next global id and the last local slot of `shard` (its
-    /// parent's shard, so subtree connectivity is preserved). Returns
-    /// the local index. The caller appends the matching entries to the
+    /// the next global id and the last local slot of `shard` (the engines
+    /// pass its parent's shard, so the join opens no new cut pair).
+    /// Returns the local index. The caller appends the matching entries to the
     /// shard's state vector and timer rings.
     pub fn add_node(&mut self, shard: usize) -> usize {
         let id = self.shard_of.len();
@@ -81,10 +85,9 @@ impl Partition {
     /// by swap-remove and appending to the recipient's. Returns
     /// `(donor shard, donor local index, recipient local index)`; the
     /// caller must apply the identical swap-remove/push to the two
-    /// shards' state vectors and timer rings. Connectivity of the
-    /// resulting shards is the *caller's* obligation — rebalancing only
-    /// ever moves whole subtree regions, so every intermediate single
-    /// move here is just bookkeeping.
+    /// shards' state vectors and timer rings. Any node may live on any
+    /// shard — lookahead holds for every cut — so a move is pure
+    /// bookkeeping; the caller re-dials wires for the new cut pairs.
     ///
     /// # Panics
     ///
@@ -148,97 +151,101 @@ impl Partition {
     }
 }
 
-/// Splits `tree` into at most `max_shards` connected subtree shards of
-/// roughly equal size. Always yields at least one shard; shard 0
-/// contains the root.
+/// Splits `tree` into at most `max_shards` shards of roughly equal
+/// node count: the weighted packer with weight 1 per node. Always yields at least
+/// one shard; shard 0 contains the root.
 ///
 /// # Panics
 ///
 /// Panics if `tree` is empty or `max_shards` is zero.
 pub fn partition_subtrees(tree: &Tree, max_shards: usize) -> Partition {
+    pack(tree, max_shards, &vec![1; tree.len()])
+}
+
+/// The packing units of a weighted tree for `bins` shards, heaviest
+/// first (ties toward the smaller root id), as `(weight, root)`. A
+/// subtree of weight at most `ceil(total / bins)` is one unit; a heavier
+/// subtree contributes its root as a single-node unit and is split
+/// further at its children.
+fn items(tree: &Tree, bins: usize, weights: &[u64]) -> Vec<(u64, usize)> {
+    let mut sub = weights[..tree.len()].to_vec();
+    for u in tree.bottom_up() {
+        if let Some(p) = tree.parent(u) {
+            sub[p.index()] += sub[u.index()];
+        }
+    }
+    let root = tree.root();
+    let cap = sub[root.index()].div_ceil(bins as u64);
+    let mut items = Vec::new();
+    let mut stack = vec![root];
+    while let Some(u) = stack.pop() {
+        let ui = u.index();
+        if sub[ui] > cap {
+            items.push((weights[ui], ui));
+            stack.extend_from_slice(tree.children(u));
+        } else {
+            items.push((sub[ui], ui));
+        }
+    }
+    items.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    items
+}
+
+/// Packs the tree into at most `max_shards` shards by weight — the one
+/// cut both [`partition_subtrees`] and
+/// [`rebalance_plan`](crate::rebalance_plan) use. Largest-first (LPT)
+/// bin packing over the `items` decomposition: each unit goes to the
+/// least-loaded bin (ties toward the lower bin index), so no shard
+/// outweighs `ceil(total / shards)` by more than the heaviest unit. The
+/// root's bin becomes shard 0, the other non-empty bins are numbered by
+/// their lowest node id, and empty bins are dropped. A pure function of
+/// `(tree, max_shards, weights)`.
+///
+/// # Panics
+///
+/// Panics if `tree` is empty, `max_shards` is zero, or `weights` is
+/// shorter than the tree.
+pub(crate) fn pack(tree: &Tree, max_shards: usize, weights: &[u64]) -> Partition {
     assert!(!tree.is_empty(), "cannot partition an empty tree");
     assert!(max_shards > 0, "need at least one shard");
+    assert!(weights.len() >= tree.len(), "one weight per node");
     let n = tree.len();
-    let shards = max_shards.min(n);
-    let target = n.div_ceil(shards);
+    let bins = max_shards.min(n);
 
-    // Residual subtree sizes, updated as subtrees are peeled away.
-    let mut residual: Vec<usize> = vec![0; n];
-    for u in tree.bottom_up() {
-        residual[u.index()] = 1 + tree
-            .children(u)
-            .iter()
-            .map(|c| residual[c.index()])
-            .sum::<usize>();
+    let mut loads: BinaryHeap<Reverse<(u64, usize)>> = (0..bins).map(|b| Reverse((0, b))).collect();
+    let mut bin_of = vec![usize::MAX; n];
+    for (w, root) in items(tree, bins, weights) {
+        let Reverse((load, b)) = loads.pop().expect("at least one bin");
+        bin_of[root] = b;
+        loads.push(Reverse((load + w, b)));
     }
-
-    const UNASSIGNED: usize = usize::MAX;
-    let mut shard_of = vec![UNASSIGNED; n];
-    let mut next_shard = 1usize;
-    let root = tree.root();
-
-    while next_shard < shards {
-        // The largest unassigned, non-root subtree that fits the budget;
-        // ties break toward the smaller node id.
-        let mut best: Option<(usize, usize)> = None; // (size, node)
-        for i in 0..n {
-            if shard_of[i] != UNASSIGNED || NodeId::new(i) == root {
-                continue;
-            }
-            let size = residual[i];
-            if size == 0 || size > target {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                Some((bs, bi)) => size > bs || (size == bs && i < bi),
-            };
-            if better {
-                best = Some((size, i));
-            }
-        }
-        let Some((size, u)) = best else {
-            // Nothing fits (degenerate shapes); stop peeling.
-            break;
-        };
-        // Claim u's residual subtree.
-        let mut stack = vec![NodeId::new(u)];
-        while let Some(v) = stack.pop() {
-            if shard_of[v.index()] != UNASSIGNED {
-                continue;
-            }
-            shard_of[v.index()] = next_shard;
-            for &c in tree.children(v) {
-                if shard_of[c.index()] == UNASSIGNED {
-                    stack.push(c);
-                }
-            }
-        }
-        // The peeled nodes no longer count toward any ancestor.
-        let mut a = NodeId::new(u);
-        residual[a.index()] = 0;
-        while let Some(p) = tree.parent(a) {
-            residual[p.index()] -= size;
-            a = p;
-        }
-        next_shard += 1;
-    }
-
-    // Remainder (including the root) is shard 0.
-    for s in shard_of.iter_mut() {
-        if *s == UNASSIGNED {
-            *s = 0;
+    // Nodes inside a whole-subtree unit follow their parent; parents
+    // precede children in BFS order.
+    for &u in tree.bfs_order() {
+        if bin_of[u.index()] == usize::MAX {
+            let p = tree.parent(u).expect("the root is always a unit");
+            bin_of[u.index()] = bin_of[p.index()];
         }
     }
 
-    let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); next_shard];
-    let mut local_index = vec![0u32; n];
-    for i in 0..n {
-        let s = shard_of[i];
-        local_index[i] = members[s].len() as u32;
+    let mut label = vec![usize::MAX; bins];
+    label[bin_of[tree.root().index()]] = 0;
+    let mut shards = 1;
+    for &b in &bin_of {
+        if label[b] == usize::MAX {
+            label[b] = shards;
+            shards += 1;
+        }
+    }
+    let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); shards];
+    let mut shard_of = Vec::with_capacity(n);
+    let mut local_index = Vec::with_capacity(n);
+    for (i, &b) in bin_of.iter().enumerate() {
+        let s = label[b];
+        shard_of.push(s);
+        local_index.push(members[s].len() as u32);
         members[s].push(NodeId::new(i));
     }
-
     Partition {
         shard_of,
         local_index,
@@ -247,34 +254,116 @@ pub fn partition_subtrees(tree: &Tree, max_shards: usize) -> Partition {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
-    fn check_connected_subtrees(tree: &Tree, p: &Partition) {
-        // Every non-root node either shares its parent's shard, or is the
-        // single entry point of its shard from above. Connectivity: each
-        // shard's nodes minus its entry points form child-closed regions.
-        for s in 0..p.shards() {
-            // Count "entry" nodes: members whose parent lies outside.
-            let entries = p.members[s]
-                .iter()
-                .filter(|&&u| match tree.parent(u) {
-                    None => true,
-                    Some(parent) => p.shard_of[parent.index()] != s,
-                })
-                .count();
-            assert_eq!(entries, 1, "shard {s} must be one connected subtree");
+    /// One tree of each family the engines shard: `path`, `star`,
+    /// `two_level`, `k_ary` and `random_depth`, sized by `size`.
+    pub(crate) fn family_tree(family: usize, size: usize, seed: u64) -> Tree {
+        match family {
+            0 => ww_topology::path(size),
+            1 => ww_topology::star(size),
+            2 => ww_topology::two_level(1 + size / 8, size % 9),
+            3 => ww_topology::k_ary(2 + size % 3, 1 + size % 5),
+            _ => {
+                let mut rng = StdRng::seed_from_u64(seed);
+                ww_topology::random_tree_of_depth(&mut rng, size, 1 + size % 7)
+            }
+        }
+    }
+
+    fn arb_case() -> impl Strategy<Value = (Tree, usize, Vec<u64>)> {
+        (
+            0usize..5,
+            1usize..120,
+            any::<u64>(),
+            1usize..=8,
+            any::<bool>(),
+        )
+            .prop_map(|(family, size, seed, shards, skewed)| {
+                let tree = family_tree(family, size, seed);
+                // Unit weights, or a deterministic skew: a few hot nodes.
+                let weights = (0..tree.len() as u64)
+                    .map(|i| {
+                        let h = i.wrapping_mul(2654435761) ^ seed;
+                        if skewed && h % 7 == 0 {
+                            1 + h % 400
+                        } else {
+                            1
+                        }
+                    })
+                    .collect();
+                (tree, shards, weights)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every node is on exactly one shard, no shard is empty, the
+        /// root is on shard 0 and the bookkeeping indexes agree.
+        #[test]
+        fn every_node_on_exactly_one_nonempty_shard((tree, shards, weights) in arb_case()) {
+            let p = pack(&tree, shards, &weights);
+            prop_assert!(p.shards() >= 1 && p.shards() <= shards);
+            prop_assert_eq!(p.shard_of[tree.root().index()], 0);
+            for (s, members) in p.members.iter().enumerate() {
+                prop_assert!(!members.is_empty(), "shard {} is empty", s);
+            }
+            check_indexes(&p);
+        }
+
+        /// The packer is a pure function of its inputs.
+        #[test]
+        fn packing_is_deterministic((tree, shards, weights) in arb_case()) {
+            let a = pack(&tree, shards, &weights);
+            let b = pack(&tree, shards, &weights);
+            prop_assert_eq!(a.shard_of, b.shard_of);
+            prop_assert_eq!(a.members, b.members);
+        }
+
+        /// The LPT bound: no shard outweighs `ceil(total / k)` by more
+        /// than the heaviest packing unit.
+        #[test]
+        fn heaviest_shard_obeys_the_lpt_bound((tree, shards, weights) in arb_case()) {
+            let k = shards.min(tree.len());
+            let total: u64 = weights.iter().sum();
+            let heaviest_item = items(&tree, k, &weights)[0].0;
+            let p = pack(&tree, shards, &weights);
+            let mut load = vec![0u64; p.shards()];
+            for (u, &s) in p.shard_of.iter().enumerate() {
+                load[s] += weights[u];
+            }
+            let max = load.iter().copied().max().unwrap();
+            prop_assert!(
+                max <= total.div_ceil(k as u64) + heaviest_item,
+                "max {} > ceil({}/{}) + {}", max, total, k, heaviest_item
+            );
         }
     }
 
     #[test]
-    fn covers_all_nodes_exactly_once() {
-        let tree = ww_topology::k_ary(3, 5);
-        let p = partition_subtrees(&tree, 4);
-        assert_eq!(p.shard_of.len(), tree.len());
-        let total: usize = p.members.iter().map(Vec::len).sum();
-        assert_eq!(total, tree.len());
-        check_connected_subtrees(&tree, &p);
+    fn items_cover_every_node_once() {
+        let tree = ww_topology::two_level(7, 5);
+        let weights = vec![1; tree.len()];
+        let units = items(&tree, 3, &weights);
+        assert_eq!(units.iter().map(|u| u.0).sum::<u64>(), tree.len() as u64);
+        // The root (36 nodes > ceil(36/3)) splits; each region is a unit.
+        assert_eq!(units.len(), 8);
+        assert_eq!(units[0], (6, 1), "heaviest first, lower id on ties");
+    }
+
+    #[test]
+    fn star_of_stars_balances() {
+        // The CDN shape a connected cut cannot balance: one region per
+        // shard would leave the root's shard with everything else.
+        let tree = ww_topology::two_level(180, 180);
+        let p = partition_subtrees(&tree, 2);
+        let sizes: Vec<usize> = p.members.iter().map(Vec::len).collect();
+        assert_eq!(sizes, vec![16_291, 16_290]);
     }
 
     #[test]
@@ -282,13 +371,14 @@ mod tests {
         let tree = ww_topology::k_ary(2, 9); // 1023 nodes
         let p = partition_subtrees(&tree, 4);
         assert_eq!(p.shards(), 4);
-        let sizes: Vec<usize> = p.members.iter().map(Vec::len).collect();
         let target = tree.len().div_ceil(4);
-        for (s, &sz) in sizes.iter().enumerate() {
-            assert!(sz > 0, "shard {s} is empty");
-            // Peeled shards never exceed the budget; the remainder can be
-            // smaller but not wildly larger than 2x.
-            assert!(sz <= 2 * target, "shard {s} holds {sz} of {}", tree.len());
+        for (s, members) in p.members.iter().enumerate() {
+            assert!(!members.is_empty(), "shard {s} is empty");
+            assert!(
+                members.len() <= 2 * target,
+                "shard {s} holds {}",
+                members.len()
+            );
         }
     }
 
@@ -298,19 +388,10 @@ mod tests {
         let p1 = partition_subtrees(&tree, 1);
         assert_eq!(p1.shards(), 1);
         let p8 = partition_subtrees(&tree, 8);
-        assert!(p8.shards() <= 3);
-        check_connected_subtrees(&tree, &p8);
+        assert_eq!(p8.shards(), 3);
         let single = ww_topology::path(1);
         let p = partition_subtrees(&single, 4);
         assert_eq!(p.shards(), 1);
-    }
-
-    #[test]
-    fn deterministic() {
-        let tree = ww_topology::two_level(7, 5);
-        let a = partition_subtrees(&tree, 5);
-        let b = partition_subtrees(&tree, 5);
-        assert_eq!(a.shard_of, b.shard_of);
     }
 
     /// The bookkeeping invariant: shard_of / local_index / members agree.

@@ -213,3 +213,31 @@ fn zero_link_delay_rejected_for_multi_shard() {
     };
     let _ = ParPacketSim::new(&tree, &mix, config, 4);
 }
+
+/// The CDN shape a connected cut cannot balance: on `two_level(180,
+/// 180)` at 2 workers, one hub per extra shard would leave shard 0 with
+/// nearly every event. The weighted packer keeps each shard's popped
+/// events within 1.1× of the mean. The short horizon keeps the debug
+/// build quick; perfbench's `cdn_steady` runs the same shape for four
+/// epochs.
+#[test]
+fn star_of_stars_shards_pop_evenly() {
+    let tree = ww_topology::two_level(180, 180);
+    let rates = ww_workload::leaf_only(&tree, 1.0);
+    let mix = ww_workload::shared_zipf_mix(&tree, &rates, 8, 1.0);
+    let report = ParPacketSim::new(&tree, &mix, PacketSimConfig::default(), 2).run(0.05);
+    let counts = &report.shard_event_counts;
+    assert_eq!(counts.len(), 2);
+    assert!(
+        report.processed_events > 30_000,
+        "{}",
+        report.processed_events
+    );
+    let mean = counts.iter().sum::<u64>() as f64 / 2.0;
+    for (s, &c) in counts.iter().enumerate() {
+        assert!(
+            c as f64 <= 1.1 * mean,
+            "shard {s} popped {c} of mean {mean}"
+        );
+    }
+}

@@ -16,7 +16,7 @@ use ww_telemetry::Level;
 use ww_workload::DocMix;
 
 /// A random tree with a heavily Zipf-skewed workload: most demand lands
-/// on a few subtrees, so a contiguity-only peel leaves the shards
+/// on a few subtrees, so a node-count partition leaves the shards
 /// lopsided and the rebalancer has something real to do.
 fn skewed_mix(seed: u64, nodes: usize) -> (Tree, DocMix) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -82,7 +82,7 @@ fn assert_reports_identical(a: &PacketSimReport, b: &PacketSimReport, label: &st
     }
 }
 
-/// An aggressive config: re-peel whenever the closed window shows any
+/// An aggressive config: re-pack whenever the closed window shows any
 /// skew at all, every epoch. Maximizes migrations, so equivalence under
 /// it is the strongest pin.
 fn eager() -> RebalanceConfig {
@@ -342,9 +342,9 @@ fn skewed_run_actually_migrates_and_stays_identical() {
         .expect("migration counter present");
     assert!(
         applied >= 1,
-        "skewed world must trigger at least one re-peel"
+        "skewed world must trigger at least one re-pack"
     );
-    assert!(migrated >= 1, "an applied re-peel moves at least one node");
+    assert!(migrated >= 1, "an applied re-pack moves at least one node");
     // The per-shard event counters and the imbalance high-water are
     // exported for observability.
     for shard in 0..4 {

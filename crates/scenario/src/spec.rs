@@ -57,13 +57,13 @@ pub struct ScenarioSpec {
 /// Adaptive shard rebalancing knobs: when the per-shard event-count
 /// imbalance (max over mean) observed across a window of
 /// `min_epoch_gap` epochs reaches `trigger_imbalance`, the partition is
-/// re-peeled around the observed per-node loads and nodes migrate at
-/// the epoch barrier. Both the observation and the re-peel are pure
+/// re-packed around the observed per-node loads and nodes migrate at
+/// the epoch barrier. Both the observation and the re-pack are pure
 /// functions of deterministic event counts, so the decision sequence is
 /// identical on every run and at every worker count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RebalanceSpec {
-    /// Max-over-mean per-shard event ratio that arms a re-peel (≥ 1;
+    /// Max-over-mean per-shard event ratio that arms a re-pack (≥ 1;
     /// e.g. `1.2` tolerates 20% skew).
     pub trigger_imbalance: f64,
     /// Epochs per observation window (≥ 1): rebalancing is evaluated at
@@ -285,7 +285,7 @@ pub enum EngineSpec {
     },
     /// Sharded parallel packet-level WebWave
     /// ([`ww_pdes::ParPacketSim`]): the same protocol as `packet_sim`,
-    /// run across `workers` subtree shards with conservative
+    /// run across `workers` shards with conservative
     /// synchronization — bit-identical to `packet_sim` at every worker
     /// count. One engine round is one diffusion period.
     PacketSimPar {
@@ -310,7 +310,7 @@ pub enum EngineSpec {
         hysteresis: f64,
         /// Absolute deadband in Poisson sigmas.
         noise_sigmas: f64,
-        /// Worker threads (= subtree shards, capped by the topology).
+        /// Worker threads (= shards, capped by the topology).
         workers: usize,
     },
     /// Distributed packet-level WebWave ([`ww_dist::DistPacketSim`]):
@@ -341,7 +341,7 @@ pub enum EngineSpec {
         hysteresis: f64,
         /// Absolute deadband in Poisson sigmas.
         noise_sigmas: f64,
-        /// Worker processes (= subtree shards, capped by the topology).
+        /// Worker processes (= shards, capped by the topology).
         workers: usize,
     },
     /// Multi-tree forest WebWave ([`ww_forest::ForestWave`]): the
