@@ -14,9 +14,10 @@
 
 use std::fmt::Write as _;
 use ww_bench::{scaling_mix, scaling_scenario, time_min};
+use ww_core::barrier::BarrierOps;
 use ww_core::docsim::{DocSim, DocSimConfig};
 use ww_core::fold::{webfold, IncrementalFold};
-use ww_core::packetsim::{PacketSim, PacketSimConfig, PacketSimReport};
+use ww_core::packetsim::{PacketSim, PacketSimConfig};
 use ww_core::reference::{NaiveDocSim, NaiveRateWave};
 use ww_core::wave::{RateWave, WaveConfig};
 use ww_dist::{DistMode, DistOptions, DistPacketSim};
@@ -193,13 +194,11 @@ fn bench_runner_overhead_rate(nodes: usize, rounds: usize) -> RunnerOverhead {
     // Equivalence probe: the spec-driven engine must replay the direct
     // engine bit for bit.
     let mut via_probe = runner.resolve(&spec).expect("spec resolves");
-    drive(
-        via_probe.as_mut(),
-        &Termination::Rounds {
-            max: rounds.min(50),
-        },
-        &mut NullObserver,
-    );
+    let mut probe_spec = spec.clone();
+    probe_spec.termination = Termination::Rounds {
+        max: rounds.min(50),
+    };
+    drive(via_probe.as_mut(), &probe_spec, &mut NullObserver).expect("probe drives");
     let mut direct_probe = RateWave::new(&tree, &rates, config);
     direct_probe.run(rounds.min(50));
     let traces_identical = via_probe.trace().is_some_and(|t| {
@@ -209,7 +208,6 @@ fn bench_runner_overhead_rate(nodes: usize, rounds: usize) -> RunnerOverhead {
                 .all(|(a, b)| a.to_bits() == b.to_bits())
     });
 
-    let termination = Termination::Rounds { max: rounds };
     let (direct, via_runner) = time_interleaved_min(
         OVERHEAD_SAMPLES,
         || {
@@ -221,7 +219,7 @@ fn bench_runner_overhead_rate(nodes: usize, rounds: usize) -> RunnerOverhead {
         || {
             let mut engine = runner.resolve(&spec).expect("spec resolves");
             let start = std::time::Instant::now();
-            drive(engine.as_mut(), &termination, &mut NullObserver);
+            drive(engine.as_mut(), &spec, &mut NullObserver).expect("spec drives");
             start.elapsed()
         },
     );
@@ -251,13 +249,11 @@ fn bench_runner_overhead_doc(nodes: usize, docs: usize, rounds: usize) -> Runner
     let runner = Runner::new();
 
     let mut via_probe = runner.resolve(&spec).expect("spec resolves");
-    drive(
-        via_probe.as_mut(),
-        &Termination::Rounds {
-            max: rounds.min(10),
-        },
-        &mut NullObserver,
-    );
+    let mut probe_spec = spec.clone();
+    probe_spec.termination = Termination::Rounds {
+        max: rounds.min(10),
+    };
+    drive(via_probe.as_mut(), &probe_spec, &mut NullObserver).expect("probe drives");
     let mut direct_probe = DocSim::new(&tree, &mix, config);
     direct_probe.run(rounds.min(10));
     let traces_identical = via_probe.trace().is_some_and(|t| {
@@ -267,7 +263,6 @@ fn bench_runner_overhead_doc(nodes: usize, docs: usize, rounds: usize) -> Runner
                 .all(|(a, b)| a.to_bits() == b.to_bits())
     });
 
-    let termination = Termination::Rounds { max: rounds };
     let (direct, via_runner) = time_interleaved_min(
         OVERHEAD_SAMPLES,
         || {
@@ -279,7 +274,7 @@ fn bench_runner_overhead_doc(nodes: usize, docs: usize, rounds: usize) -> Runner
         || {
             let mut engine = runner.resolve(&spec).expect("spec resolves");
             let start = std::time::Instant::now();
-            drive(engine.as_mut(), &termination, &mut NullObserver);
+            drive(engine.as_mut(), &spec, &mut NullObserver).expect("spec drives");
             start.elapsed()
         },
     );
@@ -341,7 +336,7 @@ fn bench_parallel_scaling(
     // before its timings mean anything.
     let seq_report = PacketSim::new(&tree, &mix, config).run(horizon);
     let par_report = ParPacketSim::new(&tree, &mix, config, 4).run(horizon);
-    let traces_identical = packet_reports_identical(&seq_report, &par_report);
+    let traces_identical = seq_report.first_difference(&par_report).is_none();
     let processed_events = seq_report.processed_events;
 
     let seq = time_min(
@@ -452,7 +447,7 @@ fn bench_dynamics_at_scale(
     let par_report = par.run(2.0);
     let par_epoch = t.elapsed();
 
-    let traces_identical = packet_reports_identical(&seq_report, &par_report);
+    let traces_identical = seq_report.first_difference(&par_report).is_none();
 
     let epoch_events = seq_report.processed_events - seq_pre_events;
     debug_assert_eq!(
@@ -524,7 +519,7 @@ fn bench_dist_loopback(regions: usize, leaves: usize, docs: usize, workers: usiz
         .expect("loopback launch")
         .run(horizon)
         .expect("loopback run");
-    let traces_identical = packet_reports_identical(&spsc_report, &dist_report);
+    let traces_identical = spsc_report.first_difference(&dist_report).is_none();
     let barriers = dist_report.trace.len().max(1);
 
     let spsc = time_min(
@@ -610,7 +605,7 @@ fn bench_telemetry_overhead(
     };
     let off_report = run_at(Level::Off);
     let full_report = run_at(Level::Full);
-    let traces_identical = packet_reports_identical(&off_report, &full_report);
+    let traces_identical = off_report.first_difference(&full_report).is_none();
     let processed_events = off_report.processed_events;
 
     let time_level = |level: Level| {
@@ -698,32 +693,6 @@ struct ShardRebalance {
     traces_identical: bool,
 }
 
-/// Partition-independent equivalence between two packet reports: the
-/// surface every golden suite pins, minus the partition-*dependent*
-/// diagnostics (`shard_event_counts`, `imbalance`) that rebalancing is
-/// supposed to change.
-fn packet_reports_identical(a: &PacketSimReport, b: &PacketSimReport) -> bool {
-    a.trace.len() == b.trace.len()
-        && a.trace
-            .distances()
-            .iter()
-            .zip(b.trace.distances())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
-        && a.served_rates
-            .as_slice()
-            .iter()
-            .zip(b.served_rates.as_slice())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
-        && a.served_requests == b.served_requests
-        && a.processed_events == b.processed_events
-        && a.copy_pushes == b.copy_pushes
-        && a.tunnel_fetches == b.tunnel_fetches
-        && a.mean_hops.to_bits() == b.mean_hops.to_bits()
-        && a.ledger.total_messages() == b.ledger.total_messages()
-        && a.ledger.total_bytes() == b.ledger.total_bytes()
-        && a.ledger.link_transmissions() == b.ledger.link_transmissions()
-}
-
 fn window_imbalance(window: &[u64]) -> f64 {
     let total: u64 = window.iter().sum();
     if window.is_empty() || total == 0 {
@@ -796,7 +765,7 @@ fn bench_shard_rebalance(
     };
     let (static_report, static_window, _) = split(None, Level::Off);
     let (adaptive_report, adaptive_window, snap) = split(Some(rebalance), Level::Counters);
-    let mut traces_identical = packet_reports_identical(&static_report, &adaptive_report);
+    let mut traces_identical = static_report.first_difference(&adaptive_report).is_none();
     let rebalances_applied = snap.counter("pdes.rebalance.applied").unwrap_or(0);
     let nodes_migrated = snap.counter("pdes.rebalance.nodes_migrated").unwrap_or(0);
     let processed_events = static_report.processed_events;
@@ -839,7 +808,7 @@ fn bench_shard_rebalance(
     let (bal_off_report, _) = bal_run(None, Level::Off);
     let (bal_armed_report, bal_snap) = bal_run(Some(rebalance), Level::Counters);
     traces_identical =
-        traces_identical && packet_reports_identical(&bal_off_report, &bal_armed_report);
+        traces_identical && bal_off_report.first_difference(&bal_armed_report).is_none();
     let balanced_rebalances_applied = bal_snap.counter("pdes.rebalance.applied").unwrap_or(0);
     let time_balanced = |rebalance: Option<RebalanceConfig>| {
         time_min(
@@ -1012,7 +981,7 @@ fn bench_barrier_storm(regions: usize, leaves: usize, docs: usize) -> StormTimin
         }
     });
     let batched = time_min(SAMPLES, setup, |sim| {
-        for r in sim.apply_all(&ops) {
+        for r in sim.apply_all(&ops).expect("batch opens") {
             r.expect("storm op applies");
         }
     });
@@ -1023,7 +992,7 @@ fn bench_barrier_storm(regions: usize, leaves: usize, docs: usize) -> StormTimin
     }
     let ra = a.run(1.0);
     let mut b = setup();
-    for r in b.apply_all(&ops) {
+    for r in b.apply_all(&ops).expect("batch opens") {
         r.expect("storm op applies");
     }
     let rb = b.run(1.0);

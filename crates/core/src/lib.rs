@@ -12,7 +12,9 @@
 //! * [`docsim`] — the document-level engine with cache copies, *potential
 //!   barriers* and **tunneling** (Section 5.2, Figure 7),
 //! * [`packetsim`] — the packet-level event-driven system: Poisson request
-//!   streams, routers with injected filters, gossip and diffusion timers.
+//!   streams, routers with injected filters, gossip and diffusion timers,
+//! * [`barrier`] — the barrier-time mutations (churn, publishes, mix
+//!   shifts, link failures, invalidations) every packet driver shares.
 //!
 //! # Quickstart
 //!
@@ -35,6 +37,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod barrier;
 pub mod docsim;
 pub mod fold;
 pub mod packet;

@@ -690,6 +690,10 @@ pub struct NodeState {
     pub gossip_rng: SimRng,
     /// Node-local request counter (request ids are `(node, counter)`).
     pub next_request: u64,
+    /// Events executed at this node since the parallel driver's
+    /// rebalance window opened (left at 0 unless that driver's
+    /// controller is armed).
+    pub window_events: u64,
 }
 
 /// The RNG of one arrival stream: a pure function of
@@ -758,6 +762,7 @@ pub fn init_state_at(world: &PacketWorld, node: NodeId, at: f64) -> NodeState {
         arrival_rng,
         gossip_rng: gossip_stream_rng(world, i),
         next_request: 0,
+        window_events: 0,
     }
 }
 

@@ -16,7 +16,9 @@
 //! node-local, every random draw is content-keyed, and every cross-node
 //! effect is a timestamped message. This sequential driver is simply one
 //! event loop over the whole tree; the parallel driver runs one loop per
-//! shard and produces bit-identical results.
+//! shard and produces bit-identical results. Barrier mutations (churn,
+//! publishes, shifts, link failures) are [`crate::barrier`]'s, shared
+//! with the parallel and distributed drivers.
 //!
 //! # Performance
 //!
@@ -29,43 +31,29 @@
 //!   [`DenseFlowTable`](ww_cache::DenseFlowTable) grids — no hashing on
 //!   the per-packet path.
 //! * The two strictly periodic timer streams live in
-//!   [`TimerRing`]s outside the event heap. Ring fires carry sequence
-//!   numbers from the queue's global counter, so the merged `(time, seq)`
-//!   order is exactly what one combined heap would produce.
+//!   [`TimerRing`](ww_sim::TimerRing)s outside the event heap. Ring
+//!   fires carry sequence numbers from the queue's global counter, so the
+//!   merged `(time, seq)` order is exactly what one combined heap would
+//!   produce.
 //!
 //! The convergence trace is sampled once per diffusion epoch (at
 //! `k * diffusion_period`), an `O(n)` pass per period — the previous
 //! per-fire observer cost `O(n²)` per period, which dominated large
 //! topologies.
 
+use crate::barrier::{BarrierOps, Partition, ShardState, SimCore};
 use crate::packet::{
-    self, BarrierOp, BarrierOutcome, DriverSource, NodeCtx, NodeState, PacketCounters, PacketEvent,
-    PacketWorld, Scratch, SurgeryStep, UniverseGrowth,
+    self, BarrierOp, BarrierOutcome, DriverSource, NodeCtx, NodeState, PacketWorld,
 };
-use ww_model::{DocId, LeafRemoval, ModelError, NodeId, RateVector, Tree};
-use ww_net::{TrafficClass, TrafficLedger};
-use ww_sim::{RadixQueue, SimQueue, SimTime, TimerRing};
+use ww_model::{ModelError, NodeId, RateVector, Tree};
+use ww_net::{TrafficLedger, ALL_TRAFFIC_CLASSES};
+use ww_sim::{SimQueue, SimTime};
 use ww_stats::ConvergenceTrace;
-use ww_telemetry::{Counters, Key, Level, PhaseStat, Phases, Snapshot};
+use ww_telemetry::{Counters, Level, PhaseStat, Phases, Snapshot};
 use ww_workload::DocMix;
 
+pub use crate::barrier::{CORE_KEYS, CORE_PHASES};
 pub use crate::packet::PacketSimConfig;
-
-/// Counter key table of the sequential core driver (dense slots; see
-/// `docs/observability.md` for the naming scheme). Everything here is
-/// barrier-path bookkeeping — the per-packet hot loop records nothing.
-pub static CORE_KEYS: &[Key] = &[
-    Key::sum("core.barrier.ops"),
-    Key::sum("core.surgery.sweeps"),
-    Key::sum("core.surgery.removed"),
-];
-const K_BARRIER_OPS: usize = 0;
-const K_SURGERY_SWEEPS: usize = 1;
-const K_SURGERY_REMOVED: usize = 2;
-
-/// Phase-name table of the sequential core driver.
-pub static CORE_PHASES: &[&str] = &["core.phase.arrival_rebuild"];
-const P_ARRIVAL_REBUILD: usize = 0;
 
 /// Outcome of a finished packet-level run.
 #[derive(Debug, Clone)]
@@ -119,9 +107,51 @@ pub struct PacketSimReport {
     pub imbalance: f64,
 }
 
-/// The sequential packet-level simulator. Pending events live in the
-/// radix-bucketed [`RadixQueue`], O(1) amortized on the simulation's
-/// near-monotone schedule.
+impl PacketSimReport {
+    /// The first simulated quantity on which `self` and `other` differ,
+    /// compared bit for bit: convergence trace, served rates, final
+    /// distance, served requests, processed events, copy pushes, tunnel
+    /// fetches, mean hops, every traffic class's message count and bytes,
+    /// and the link-level transmissions. `None` when all agree — the equality every golden test of
+    /// the packet engines pins. The partition-dependent fields (per-shard
+    /// event counts, imbalance, overflow parks) are not compared.
+    pub fn first_difference(&self, other: &PacketSimReport) -> Option<String> {
+        fn fingerprint(r: &PacketSimReport) -> Vec<(String, Vec<u64>)> {
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect();
+            let mut f = vec![
+                ("trace".to_string(), bits(r.trace.distances())),
+                ("served rates".to_string(), bits(r.served_rates.as_slice())),
+                (
+                    "final distance".to_string(),
+                    vec![r.final_distance.to_bits()],
+                ),
+                ("served requests".to_string(), vec![r.served_requests]),
+                ("processed events".to_string(), vec![r.processed_events]),
+                ("copy pushes".to_string(), vec![r.copy_pushes]),
+                ("tunnel fetches".to_string(), vec![r.tunnel_fetches]),
+                ("mean hops".to_string(), vec![r.mean_hops.to_bits()]),
+            ];
+            for class in ALL_TRAFFIC_CLASSES {
+                let traffic = vec![r.ledger.count(class), r.ledger.bytes(class)];
+                f.push((format!("{class:?} count and bytes"), traffic));
+            }
+            let hops = vec![r.ledger.link_transmissions()];
+            f.push(("link transmissions".to_string(), hops));
+            f
+        }
+        fingerprint(self)
+            .into_iter()
+            .zip(fingerprint(other))
+            .find(|(a, b)| a.1 != b.1)
+            .map(|((what, a), (_, b))| format!("{what} diverge: {a:?} vs {b:?}"))
+    }
+}
+
+/// The sequential packet-level simulator: the one-shard case of the
+/// shared barrier layout (`ww_core::barrier`), every node at the local
+/// index equal to its id. Pending events live in the radix-bucketed
+/// [`RadixQueue`](ww_sim::RadixQueue), O(1) amortized on the
+/// simulation's near-monotone schedule.
 ///
 /// # Example
 ///
@@ -141,32 +171,15 @@ pub struct PacketSimReport {
 /// ```
 #[derive(Debug)]
 pub struct PacketSim {
-    world: PacketWorld,
-    queue: RadixQueue<PacketEvent>,
-    gossip_ring: TimerRing,
-    diffusion_ring: TimerRing,
-    nodes: Vec<NodeState>,
-    /// Per node: `true` when the control link to its parent is failed.
-    /// Gossip, copy pushes, and diffusion decisions stop crossing the
-    /// edge; request packets (the data plane) keep flowing.
-    failed_up: Vec<bool>,
-    ledger: TrafficLedger,
-    counters: PacketCounters,
-    scratch: Scratch,
-    outbox: Vec<(SimTime, PacketEvent)>,
+    /// World, identity partition, failed links, horizon, open batch.
+    core: SimCore,
+    /// Every node, at the local index equal to its id.
+    shard: ShardState,
     trace: ConvergenceTrace,
     /// Diffusion-epoch samples taken so far (next at `(k+1) * period`).
     epochs_sampled: u64,
-    /// Open barrier batch: the queue-surgery steps accumulated so far
-    /// (`None` when applying unbatched). See
-    /// [`PacketSim::begin_batch`].
-    batch: Option<Vec<SurgeryStep>>,
     /// Telemetry level requested via [`PacketSim::set_telemetry`].
     tel_level: Level,
-    /// Barrier-path counter slab over [`CORE_KEYS`].
-    tel: Counters,
-    /// Phase timers over [`CORE_PHASES`] (active at full spans only).
-    tel_phases: Phases,
 }
 
 impl PacketSim {
@@ -179,49 +192,14 @@ impl PacketSim {
     /// range.
     pub fn new(tree: &Tree, mix: &DocMix, config: PacketSimConfig) -> Self {
         let world = PacketWorld::new(tree, mix, config);
-        let n = world.len();
-        let mut nodes: Vec<NodeState> = tree
-            .nodes()
-            .map(|u| packet::init_state(&world, u))
-            .collect();
-
-        let mut queue = RadixQueue::default();
-        let mut gossip_ring = TimerRing::new(SimTime::from_secs(config.gossip_period), n);
-        let mut diffusion_ring = TimerRing::new(SimTime::from_secs(config.diffusion_period), n);
-
-        // Prime: first arrivals, then the two staggered timers, in node
-        // order (the same relative seq order the parallel driver
-        // reproduces per shard).
-        let mut outbox = Vec::new();
-        for (i, state) in nodes.iter_mut().enumerate() {
-            let node = NodeId::new(i);
-            packet::initial_arrivals(&world, state, node, &mut outbox);
-            for (at, ev) in outbox.drain(..) {
-                queue.schedule(at, ev);
-            }
-            let gossip_seq = queue.alloc_seq();
-            gossip_ring.insert(i, world.gossip_phase(i), gossip_seq);
-            let diffusion_seq = queue.alloc_seq();
-            diffusion_ring.insert(i, world.diffusion_phase(i), diffusion_seq);
-        }
-
+        let partition = Partition::single(world.len());
+        let shard = ShardState::prime(&world, &partition.members[0]);
         PacketSim {
-            world,
-            queue,
-            gossip_ring,
-            diffusion_ring,
-            nodes,
-            failed_up: vec![false; n],
-            ledger: TrafficLedger::new(),
-            counters: PacketCounters::default(),
-            scratch: Scratch::default(),
-            outbox,
+            core: SimCore::new(world, partition),
+            shard,
             trace: ConvergenceTrace::new(),
             epochs_sampled: 0,
-            batch: None,
             tel_level: Level::Off,
-            tel: Counters::off(CORE_KEYS),
-            tel_phases: Phases::new(CORE_PHASES, Level::Off),
         }
     }
 
@@ -231,9 +209,9 @@ impl PacketSim {
     /// on-vs-off tests).
     pub fn set_telemetry(&mut self, level: Level) {
         self.tel_level = level;
-        self.tel = Counters::new(CORE_KEYS, level);
-        self.tel_phases = Phases::new(CORE_PHASES, level);
-        self.world.tel.timed = level.spans_on();
+        self.core.tel = Counters::new(CORE_KEYS, level);
+        self.core.tel_phases = Phases::new(CORE_PHASES, level);
+        self.core.world.tel.timed = level.spans_on();
     }
 
     /// Everything this driver recorded since
@@ -245,18 +223,19 @@ impl PacketSim {
         if !self.tel_level.counters_on() {
             return snap;
         }
-        snap.push_counter("core.oracle.refolds", self.world.tel.refolds);
-        snap.push_counter("core.oracle.full_sweeps", self.world.tel.full_sweeps);
-        self.tel.snapshot_into(&mut snap);
+        let world_tel = &self.core.world.tel;
+        snap.push_counter("core.oracle.refolds", world_tel.refolds);
+        snap.push_counter("core.oracle.full_sweeps", world_tel.full_sweeps);
+        self.core.tel.snapshot_into(&mut snap);
         if self.tel_level.spans_on() {
             snap.push_phase(
                 "core.phase.oracle_refresh",
                 PhaseStat {
-                    ns: self.world.tel.refresh_ns,
-                    count: self.world.tel.refresh_count,
+                    ns: world_tel.refresh_ns,
+                    count: world_tel.refresh_count,
                 },
             );
-            self.tel_phases.snapshot_into(&mut snap);
+            self.core.tel_phases.snapshot_into(&mut snap);
         }
         snap
     }
@@ -264,12 +243,15 @@ impl PacketSim {
     /// The earliest pending `(time, seq, source)` across the heap and the
     /// two timer rings (see [`packet::next_source`]).
     fn next_source(&self) -> Option<(SimTime, u64, DriverSource)> {
-        packet::next_source(&self.queue, &self.gossip_ring, &self.diffusion_ring)
+        let shard = &self.shard;
+        packet::next_source(&shard.queue, &shard.gossip_ring, &shard.diffusion_ring)
     }
 
     /// The next pending epoch-boundary sample time.
     fn next_sample(&self) -> SimTime {
-        SimTime::from_secs((self.epochs_sampled + 1) as f64 * self.world.config.diffusion_period)
+        SimTime::from_secs(
+            (self.epochs_sampled + 1) as f64 * self.core.world.config.diffusion_period,
+        )
     }
 
     /// Samples the global distance to the oracle at time `at` and pushes
@@ -279,7 +261,11 @@ impl PacketSim {
     /// the barrier; exactness is what makes the two bit-identical.
     fn sample_epoch(&mut self, at: SimTime) {
         let now = at.as_secs();
-        let sum = packet::trace_partial(&self.world.oracle, self.nodes.iter_mut().enumerate(), now);
+        let sum = packet::trace_partial(
+            &self.core.world.oracle,
+            self.shard.nodes.iter_mut().enumerate(),
+            now,
+        );
         self.trace.push(sum.value().sqrt());
         self.epochs_sampled += 1;
     }
@@ -288,17 +274,18 @@ impl PacketSim {
     /// then drains the produced outbox into the queue in push order —
     /// the one event-execution shape shared by all three sources.
     fn with_node(&mut self, i: usize, handler: impl FnOnce(&mut NodeCtx<'_>, &mut NodeState)) {
+        let shard = &mut self.shard;
         let mut ctx = NodeCtx {
-            world: &self.world,
-            failed_up: &self.failed_up,
-            ledger: &mut self.ledger,
-            counters: &mut self.counters,
-            out: &mut self.outbox,
-            scratch: &mut self.scratch,
+            world: &self.core.world,
+            failed_up: &self.core.failed_up,
+            ledger: &mut shard.ledger,
+            counters: &mut shard.counters,
+            out: &mut shard.outbox,
+            scratch: &mut shard.scratch,
         };
-        handler(&mut ctx, &mut self.nodes[i]);
-        for (at, ev) in self.outbox.drain(..) {
-            self.queue.schedule(at, ev);
+        handler(&mut ctx, &mut shard.nodes[i]);
+        for (at, ev) in shard.outbox.drain(..) {
+            shard.queue.schedule(at, ev);
         }
     }
 
@@ -325,77 +312,83 @@ impl PacketSim {
             }
             match source {
                 DriverSource::Heap => {
-                    let (t, event) = self.queue.pop().expect("peeked event exists");
+                    let (t, event) = self.shard.queue.pop().expect("peeked event exists");
                     let i = event.node().index();
                     self.with_node(i, |ctx, state| packet::handle(ctx, state, t, event));
                 }
                 DriverSource::Gossip => {
-                    let (t, member) = self.gossip_ring.pop().expect("peeked fire exists");
-                    self.queue.advance_to(t);
+                    let (t, member) = self.shard.gossip_ring.pop().expect("peeked fire exists");
+                    self.shard.queue.advance_to(t);
                     let node = NodeId::new(member);
                     self.with_node(member, |ctx, state| {
                         packet::on_gossip_timer(ctx, state, t, node);
                     });
-                    let seq = self.queue.alloc_seq();
-                    self.gossip_ring.rearm(member, seq);
+                    let seq = self.shard.queue.alloc_seq();
+                    self.shard.gossip_ring.rearm(member, seq);
                 }
                 DriverSource::Diffusion => {
-                    let (t, member) = self.diffusion_ring.pop().expect("peeked fire exists");
-                    self.queue.advance_to(t);
+                    let (t, member) = self.shard.diffusion_ring.pop().expect("peeked fire exists");
+                    self.shard.queue.advance_to(t);
                     let node = NodeId::new(member);
                     self.with_node(member, |ctx, state| {
                         packet::on_diffusion(ctx, state, t, node);
                     });
-                    let seq = self.queue.alloc_seq();
-                    self.diffusion_ring.rearm(member, seq);
+                    let seq = self.shard.queue.alloc_seq();
+                    self.shard.diffusion_ring.rearm(member, seq);
                 }
             }
         }
         // The horizon itself is the observation instant: the clock coasts
         // to it so the report is taken at `duration` exactly, matching
         // the parallel driver's barrier.
-        self.queue.fast_forward(deadline);
+        self.shard.queue.fast_forward(deadline);
+        self.core.horizon = self.shard.queue.now();
         self.report()
     }
 
     /// Produces the final report (also usable mid-run).
     pub fn report(&mut self) -> PacketSimReport {
-        let now = self.queue.now().as_secs();
-        let rates: Vec<f64> = (0..self.world.len())
-            .map(|j| packet::sample_served_rate(&mut self.nodes[j], now.max(1e-9)))
+        let now = self.shard.queue.now().as_secs();
+        let rates: Vec<f64> = self
+            .shard
+            .nodes
+            .iter_mut()
+            .map(|state| packet::sample_served_rate(state, now.max(1e-9)))
             .collect();
         let served_rates = RateVector::from(rates);
-        let final_distance = served_rates.euclidean_distance(&self.world.oracle);
+        let final_distance = served_rates.euclidean_distance(&self.core.world.oracle);
+        let counters = &self.shard.counters;
+        let processed = self.shard.queue.processed();
         PacketSimReport {
             final_distance,
             served_rates,
-            oracle: self.world.oracle.clone(),
+            oracle: self.core.world.oracle.clone(),
             trace: self.trace.clone(),
-            ledger: self.ledger.clone(),
-            mean_hops: if self.counters.served_requests == 0 {
+            ledger: self.shard.ledger.clone(),
+            mean_hops: if counters.served_requests == 0 {
                 0.0
             } else {
-                self.counters.hops_sum as f64 / self.counters.served_requests as f64
+                counters.hops_sum as f64 / counters.served_requests as f64
             },
-            copy_pushes: self.counters.copy_pushes,
-            tunnel_fetches: self.counters.tunnel_fetches,
-            served_requests: self.counters.served_requests,
-            processed_events: self.queue.processed(),
+            copy_pushes: counters.copy_pushes,
+            tunnel_fetches: counters.tunnel_fetches,
+            served_requests: counters.served_requests,
+            processed_events: processed,
             overflow_parks: 0,
             overflow_peak_parked: 0,
-            shard_event_counts: vec![self.queue.processed()],
+            shard_event_counts: vec![processed],
             imbalance: 1.0,
         }
     }
 
     /// The TLB oracle for the offered demand.
     pub fn oracle(&self) -> &RateVector {
-        &self.world.oracle
+        &self.core.world.oracle
     }
 
     /// The dense document table of this simulation's universe.
     pub fn doc_table(&self) -> &ww_model::DocTable {
-        &self.world.table
+        &self.core.world.table
     }
 
     /// Lifetime served-request count of one node.
@@ -404,12 +397,12 @@ impl PacketSim {
     ///
     /// Panics if `node` is out of range.
     pub fn served_total(&self, node: NodeId) -> u64 {
-        self.nodes[node.index()].served_total
+        self.shard.nodes[node.index()].served_total
     }
 
     /// The routing tree this simulation runs on.
     pub fn tree(&self) -> &Tree {
-        &self.world.tree
+        &self.core.world.tree
     }
 
     /// Whether the control link from `node` to its parent is failed.
@@ -418,329 +411,33 @@ impl PacketSim {
     ///
     /// Panics if `node` is out of range.
     pub fn link_failed(&self, node: NodeId) -> bool {
-        self.failed_up[node.index()]
-    }
-
-    /// Fails the control link between `node` and its parent: gossip stops
-    /// crossing it (estimates on both sides go stale), no copies are
-    /// pushed or tunneled across, and the node's diffusion step ignores
-    /// its parent until [`PacketSim::heal_link`]. Request packets — the
-    /// data plane — keep flowing. Returns `false` when already failed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range or is the root.
-    pub fn fail_link(&mut self, node: NodeId) -> bool {
-        assert!(
-            self.world.tree.parent(node).is_some(),
-            "the root has no uplink to fail"
-        );
-        !std::mem::replace(&mut self.failed_up[node.index()], true)
-    }
-
-    /// Restores the control link between `node` and its parent. Returns
-    /// `false` when the link was not failed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range or is the root.
-    pub fn heal_link(&mut self, node: NodeId) -> bool {
-        assert!(
-            self.world.tree.parent(node).is_some(),
-            "the root has no uplink to heal"
-        );
-        std::mem::replace(&mut self.failed_up[node.index()], false)
-    }
-
-    /// Re-publish (update) a document: every cached copy outside the home
-    /// server is invalidated — copies, filters, and serve allocations for
-    /// `doc` vanish, and the stale serve-rate estimates for it are reset.
-    /// One invalidation message per revoked copy is charged to the ledger
-    /// (control traffic from the root, paying the node's depth in hops).
-    /// Demand is unchanged; requests fall back to the home server until
-    /// diffusion re-spreads the new version.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::UnknownDocument`] when `doc` is outside the
-    /// simulated universe.
-    pub fn invalidate(&mut self, doc: DocId) -> Result<(), ModelError> {
-        let Some(k) = self.world.table.index_of(doc) else {
-            return Err(ModelError::UnknownDocument { doc: doc.value() });
-        };
-        let root = self.world.tree.root();
-        for j in 0..self.world.len() {
-            let node = NodeId::new(j);
-            if node == root {
-                continue;
-            }
-            if packet::invalidate_node(&mut self.nodes[j], k) {
-                self.ledger
-                    .record(TrafficClass::Gossip, 64, self.world.tree.depth(node) as u32);
-            }
-        }
-        Ok(())
-    }
-
-    /// Re-resolves the arrival stage after a barrier mutation: drops
-    /// stale arrival events (remapping surviving document indices when
-    /// the universe grew) and schedules each node's fresh first arrival,
-    /// in node order — the canonical recipe the parallel driver repeats
-    /// per shard.
-    fn rebuild_arrivals(&mut self, growth: Option<&UniverseGrowth>) {
-        let before = self.queue.len();
-        self.queue
-            .filter_map_events(|ev| packet::remap_for_rebuild(ev, growth));
-        self.note_surgery(before);
-        self.reschedule_arrivals();
-    }
-
-    /// Credits one queue-surgery sweep that shrank the queue from
-    /// `before` to its current length.
-    fn note_surgery(&mut self, before: usize) {
-        self.tel.add(K_SURGERY_SWEEPS, 1);
-        self.tel
-            .add(K_SURGERY_REMOVED, (before - self.queue.len()) as u64);
-    }
-
-    /// The scheduling half of [`PacketSim::rebuild_arrivals`], for
-    /// callers whose own queue surgery already dropped the stale
-    /// arrivals (a leave's [`packet::renumber_for_leave`] pass).
-    fn reschedule_arrivals(&mut self) {
-        let span = self.tel_phases.begin();
-        let at = self.queue.now();
-        for i in 0..self.world.len() {
-            packet::rebuild_node_arrivals(
-                &self.world,
-                &mut self.nodes[i],
-                NodeId::new(i),
-                at,
-                &mut self.outbox,
-            );
-            for (t, ev) in self.outbox.drain(..) {
-                self.queue.schedule(t, ev);
-            }
-        }
-        self.tel_phases.end(P_ARRIVAL_REBUILD, span);
-    }
-
-    /// A cache server joins as a new leaf under `parent` at the current
-    /// barrier, bringing `rate` req/s of demand split across the
-    /// universe proportionally to current document popularity. The
-    /// newcomer takes the next id, starts cold (no copies), and its
-    /// gossip/diffusion timers arm phase-staggered after the barrier;
-    /// every arrival stream is re-resolved.
-    ///
-    /// # Errors
-    ///
-    /// As [`PacketWorld::join`]: unknown parent or invalid rate.
-    pub fn add_leaf(&mut self, parent: NodeId, rate: f64) -> Result<NodeId, ModelError> {
-        let at = self.queue.now();
-        let id = self.world.join(parent, rate)?;
-        let i = id.index();
-        let map = packet::join_slot_map(self.world.tree.children(parent).len() - 1);
-        packet::remap_children(&mut self.nodes[parent.index()], &map, at.as_secs());
-        self.nodes
-            .push(packet::init_state_at(&self.world, id, at.as_secs()));
-        self.failed_up.push(false);
-        if let Some(steps) = &mut self.batch {
-            steps.push(SurgeryStep::Rebuild(None));
-        } else {
-            self.rebuild_arrivals(None);
-        }
-        // Arm the newcomer's timers (after the arrival pass, mirroring
-        // the construction-time per-node order).
-        assert_eq!(self.gossip_ring.add_member(), i);
-        assert_eq!(self.diffusion_ring.add_member(), i);
-        let gossip_seq = self.queue.alloc_seq();
-        self.gossip_ring
-            .insert(i, at + self.world.gossip_phase(i), gossip_seq);
-        let diffusion_seq = self.queue.alloc_seq();
-        self.diffusion_ring
-            .insert(i, at + self.world.diffusion_phase(i), diffusion_seq);
-        Ok(id)
-    }
-
-    /// A leaf cache server departs at the current barrier: its demand
-    /// re-homes to its parent, ids compact by swap-remove (the returned
-    /// [`LeafRemoval`] names the renumbering), in-flight events
-    /// involving the departed node are dropped, and every arrival
-    /// stream is re-resolved.
-    ///
-    /// # Errors
-    ///
-    /// As [`PacketWorld::leave`]: unknown id, the root, or an interior
-    /// node.
-    pub fn remove_leaf(&mut self, node: NodeId) -> Result<LeafRemoval, ModelError> {
-        let at = self.queue.now();
-        let old_child_slot = self.world.child_slot.clone();
-        let removal = self.world.leave(node)?;
-        let i = removal.removed.index();
-        self.nodes.swap_remove(i);
-        self.failed_up.swap_remove(i);
-        self.gossip_ring.swap_remove_member(i);
-        self.diffusion_ring.swap_remove_member(i);
-        if let Some(steps) = &mut self.batch {
-            steps.push(SurgeryStep::Leave {
-                removed: removal.removed,
-                moved: removal.moved,
-            });
-        } else {
-            let before = self.queue.len();
-            self.queue.filter_map_events(|ev| {
-                packet::renumber_for_leave(ev, removal.removed, removal.moved)
-            });
-            self.note_surgery(before);
-        }
-        for p in packet::parents_to_remap(&self.world.tree, &removal) {
-            let map = packet::child_slot_map(
-                &self.world.tree,
-                p,
-                removal.removed,
-                removal.moved,
-                &old_child_slot,
-            );
-            packet::remap_children(&mut self.nodes[p.index()], &map, at.as_secs());
-        }
-        // The renumbering pass above already dropped the stale arrivals;
-        // only the rescheduling half remains (deferred while batched).
-        if self.batch.is_none() {
-            self.reschedule_arrivals();
-        }
-        Ok(removal)
-    }
-
-    /// Applies a universe growth to every node's per-document state (the
-    /// home server also receives the only copy of each new document),
-    /// then re-resolves the arrival stage — the shared tail of every
-    /// demand-changing barrier operation.
-    fn apply_growth(&mut self, growth: Option<UniverseGrowth>) {
-        let at = self.queue.now().as_secs();
-        if let Some(g) = &growth {
-            let root = self.world.tree.root();
-            for j in 0..self.world.len() {
-                packet::grow_node_state(&mut self.nodes[j], g, at, NodeId::new(j) == root);
-            }
-        }
-        if let Some(steps) = &mut self.batch {
-            steps.push(SurgeryStep::Rebuild(growth));
-        } else {
-            self.rebuild_arrivals(growth.as_ref());
-        }
-    }
-
-    /// Publishes a document at the current barrier: demand for `doc`
-    /// appears at `origin`, a first-time id grows the dense universe
-    /// (every node's per-document state shifts columns; the home server
-    /// receives the only copy), and every arrival stream is re-resolved.
-    ///
-    /// # Errors
-    ///
-    /// As [`PacketWorld::publish`]: unknown origin or invalid rate.
-    pub fn publish_doc(&mut self, doc: DocId, origin: NodeId, rate: f64) -> Result<(), ModelError> {
-        let growth = self.world.publish(doc, origin, rate)?;
-        self.apply_growth(growth);
-        Ok(())
-    }
-
-    /// Replaces the whole demand mix at the current barrier (hot-set
-    /// rotation, Zipf re-skew). Copies and serve allocations survive;
-    /// first-time document ids grow the universe; every arrival stream
-    /// is re-resolved against the new mix.
-    ///
-    /// # Errors
-    ///
-    /// As [`PacketWorld::set_mix`]: a mix not covering the current tree.
-    pub fn set_mix(&mut self, mix: &DocMix) -> Result<(), ModelError> {
-        let growth = self.world.set_mix(mix)?;
-        self.apply_growth(growth);
-        Ok(())
-    }
-
-    /// Opens a barrier batch: subsequent barrier mutations apply their
-    /// primary state changes eagerly but defer the oracle refresh, the
-    /// queue-surgery sweep, and the arrival re-resolution to one shared
-    /// pass in [`PacketSim::commit_batch`]. A K-event batch ends
-    /// bit-identical to K unbatched applications at a fraction of the
-    /// cost (one refold, one sweep, one re-resolution instead of K).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a batch is already open.
-    pub fn begin_batch(&mut self) {
-        assert!(self.batch.is_none(), "a barrier batch is already open");
-        self.world.begin_batch();
-        self.batch = Some(Vec::new());
-    }
-
-    /// Closes the batch: performs the single deferred oracle refresh,
-    /// applies the accumulated queue-surgery steps in one
-    /// `filter_map_events` sweep, and re-resolves the arrival stage
-    /// once, in node order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no batch is open.
-    pub fn commit_batch(&mut self) {
-        let steps = self.batch.take().expect("no open barrier batch");
-        self.world.end_batch();
-        if !steps.is_empty() {
-            let before = self.queue.len();
-            self.queue
-                .filter_map_events(|ev| packet::apply_surgery(ev, &steps));
-            self.note_surgery(before);
-            self.reschedule_arrivals();
-        }
-    }
-
-    /// Applies one uniform [`BarrierOp`] through the matching typed
-    /// method (honoring an open batch).
-    ///
-    /// # Errors
-    ///
-    /// As the matching typed method; a failed op mutates nothing.
-    ///
-    /// # Panics
-    ///
-    /// As the matching typed method — [`BarrierOp::FailLink`] /
-    /// [`BarrierOp::HealLink`] on the root or out of range.
-    pub fn apply_op(&mut self, op: &BarrierOp) -> Result<BarrierOutcome, ModelError> {
-        self.tel.add(K_BARRIER_OPS, 1);
-        match op {
-            BarrierOp::AddLeaf { parent, rate } => {
-                self.add_leaf(*parent, *rate).map(BarrierOutcome::Added)
-            }
-            BarrierOp::RemoveLeaf { node } => self.remove_leaf(*node).map(BarrierOutcome::Removed),
-            BarrierOp::PublishDoc { doc, origin, rate } => self
-                .publish_doc(*doc, *origin, *rate)
-                .map(|()| BarrierOutcome::Done),
-            BarrierOp::SetMix { mix } => self.set_mix(mix).map(|()| BarrierOutcome::Done),
-            BarrierOp::FailLink { node } => Ok(BarrierOutcome::Toggled(self.fail_link(*node))),
-            BarrierOp::HealLink { node } => Ok(BarrierOutcome::Toggled(self.heal_link(*node))),
-            BarrierOp::Invalidate { doc } => self.invalidate(*doc).map(|()| BarrierOutcome::Done),
-        }
-    }
-
-    /// Applies every op of a same-barrier storm as one batch: per-op
-    /// results mirror sequential application (a rejected op mutates
-    /// nothing and the batch continues), but the oracle refresh, queue
-    /// surgery, and arrival re-resolution run once at the end.
-    ///
-    /// # Panics
-    ///
-    /// As [`PacketSim::apply_op`], and if a batch is already
-    /// open.
-    pub fn apply_all(&mut self, ops: &[BarrierOp]) -> Vec<Result<BarrierOutcome, ModelError>> {
-        self.begin_batch();
-        let results = ops.iter().map(|op| self.apply_op(op)).collect();
-        self.commit_batch();
-        results
+        self.core.failed_up[node.index()]
     }
 
     /// The shared world (topology, mix, oracle, configuration) as the
     /// simulation currently sees it.
     pub fn world(&self) -> &PacketWorld {
-        &self.world
+        &self.core.world
+    }
+}
+
+/// Barrier mutations apply at the current horizon (the end of the last
+/// [`PacketSim::run`]).
+impl BarrierOps for PacketSim {
+    type Error = ModelError;
+
+    fn apply_op(&mut self, op: &BarrierOp) -> Result<BarrierOutcome, ModelError> {
+        self.core.apply(&mut self.shard, op)
+    }
+
+    fn begin_batch(&mut self) -> Result<(), ModelError> {
+        self.core.begin_batch();
+        Ok(())
+    }
+
+    fn commit_batch(&mut self) -> Result<(), ModelError> {
+        self.core.commit_batch(&mut self.shard);
+        Ok(())
     }
 }
 
@@ -748,6 +445,7 @@ impl PacketSim {
 mod tests {
     use super::*;
     use ww_model::DocId;
+    use ww_net::TrafficClass;
     use ww_topology::paper;
 
     fn fig7_mix() -> (Tree, DocMix) {
@@ -928,6 +626,24 @@ mod tests {
         assert_eq!(a.served_requests, b.served_requests);
         assert_eq!(a.trace.distances(), b.trace.distances());
         assert_eq!(a.served_rates.as_slice(), b.served_rates.as_slice());
+    }
+
+    #[test]
+    fn first_difference_names_the_diverging_quantity() {
+        let (tree, mix) = fig7_mix();
+        let a = PacketSim::new(&tree, &mix, PacketSimConfig::default()).run(5.0);
+        assert_eq!(a.first_difference(&a.clone()), None);
+        let mut b = a.clone();
+        b.shard_event_counts = vec![1, 2];
+        b.imbalance = 2.0;
+        assert_eq!(a.first_difference(&b), None, "partition-dependent");
+        b.copy_pushes += 1;
+        let diff = a.first_difference(&b).expect("pushes differ");
+        assert!(diff.starts_with("copy pushes"), "{diff}");
+        let mut c = a.clone();
+        c.ledger.record(TrafficClass::Gossip, 64, 1);
+        let diff = a.first_difference(&c).expect("ledgers differ");
+        assert!(diff.starts_with("Gossip"), "{diff}");
     }
 
     #[test]

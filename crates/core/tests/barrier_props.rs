@@ -5,6 +5,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use ww_core::barrier::BarrierOps;
 use ww_core::packetsim::{PacketSim, PacketSimConfig};
 use ww_model::{DocId, NodeId};
 

@@ -10,10 +10,10 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
+use ww_core::barrier::BarrierOps;
 use ww_core::packetsim::{PacketSim, PacketSimConfig, PacketSimReport};
 use ww_dist::{DistMode, DistOptions, DistPacketSim};
 use ww_model::{DocId, NodeId, Tree};
-use ww_net::TrafficClass;
 use ww_topology::paper;
 use ww_workload::DocMix;
 
@@ -43,55 +43,9 @@ fn random_mix(seed: u64) -> (Tree, DocMix) {
     (tree, mix)
 }
 
-fn bits(xs: &[f64]) -> Vec<u64> {
-    xs.iter().map(|x| x.to_bits()).collect()
-}
-
 fn assert_reports_identical(a: &PacketSimReport, b: &PacketSimReport, label: &str) {
-    assert_eq!(
-        bits(a.trace.distances()),
-        bits(b.trace.distances()),
-        "{label}: traces diverge"
-    );
-    assert_eq!(
-        bits(a.served_rates.as_slice()),
-        bits(b.served_rates.as_slice()),
-        "{label}: served rates diverge"
-    );
-    assert_eq!(
-        a.final_distance.to_bits(),
-        b.final_distance.to_bits(),
-        "{label}: final distance diverges"
-    );
-    assert_eq!(a.served_requests, b.served_requests, "{label}: served");
-    assert_eq!(
-        a.processed_events, b.processed_events,
-        "{label}: processed events"
-    );
-    assert_eq!(a.copy_pushes, b.copy_pushes, "{label}: pushes");
-    assert_eq!(a.tunnel_fetches, b.tunnel_fetches, "{label}: fetches");
-    assert_eq!(
-        a.mean_hops.to_bits(),
-        b.mean_hops.to_bits(),
-        "{label}: mean hops"
-    );
-    for class in [
-        TrafficClass::Request,
-        TrafficClass::Response,
-        TrafficClass::Gossip,
-        TrafficClass::CopyPush,
-        TrafficClass::Tunnel,
-    ] {
-        assert_eq!(
-            a.ledger.count(class),
-            b.ledger.count(class),
-            "{label}: {class:?} count"
-        );
-        assert_eq!(
-            a.ledger.bytes(class),
-            b.ledger.bytes(class),
-            "{label}: {class:?} bytes"
-        );
+    if let Some(diff) = a.first_difference(b) {
+        panic!("{label}: {diff}");
     }
 }
 
@@ -116,10 +70,10 @@ fn worker_processes_replay_churn_bit_for_bit() {
 
     let mut seq = PacketSim::new(&tree, &mix, config);
     seq.run(4.0);
-    seq.fail_link(NodeId::new(2));
+    seq.fail_link(NodeId::new(2)).unwrap();
     seq.invalidate(DocId::new(1)).unwrap();
     seq.run(8.0);
-    seq.heal_link(NodeId::new(2));
+    seq.heal_link(NodeId::new(2)).unwrap();
     let newcomer = seq.add_leaf(NodeId::new(1), 40.0).unwrap();
     seq.publish_doc(DocId::new(9), NodeId::new(0), 25.0)
         .unwrap();

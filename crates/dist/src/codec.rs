@@ -20,11 +20,12 @@
 //! does not know is a [`CodecError::BadTag`], not a skippable extension.
 
 use std::fmt;
-use ww_core::packet::{PacketEvent, PacketSimConfig};
+use ww_core::packet::{BarrierOp, PacketEvent, PacketSimConfig};
 use ww_model::{DocId, NodeId};
 use ww_net::{DocRequest, RequestId};
 use ww_pdes::Wire;
 use ww_sim::SimTime;
+use ww_workload::DocMix;
 
 /// Hard cap on one frame's payload, bytes. A length prefix above this is
 /// treated as stream corruption ([`CodecError::Oversize`]) rather than
@@ -102,54 +103,14 @@ pub struct Assign {
     pub peers: Vec<(usize, String)>,
 }
 
-/// A barrier-time mutation broadcast by the coordinator. Workers apply
-/// it to their [`ShardHost`](ww_pdes::ShardHost) with the exact
-/// per-node logic of the in-process engines.
+/// A barrier-time command broadcast by the coordinator. Workers apply
+/// it to their [`ShardHost`](ww_pdes::ShardHost) through the same
+/// `ww_core::barrier` code as the in-process engines.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ApplyCmd {
-    /// Fail the uplink of `node`.
-    FailLink {
-        /// The node whose parent link fails.
-        node: usize,
-    },
-    /// Heal the uplink of `node`.
-    HealLink {
-        /// The node whose parent link heals.
-        node: usize,
-    },
-    /// Invalidate every cached copy of a document.
-    Invalidate {
-        /// The document's raw id.
-        doc: u64,
-    },
-    /// A new leaf joins under `parent`.
-    AddLeaf {
-        /// The parent node.
-        parent: usize,
-        /// The newcomer's client demand rate.
-        rate: f64,
-    },
-    /// The leaf `node` departs.
-    RemoveLeaf {
-        /// The departing leaf.
-        node: usize,
-    },
-    /// Publish a document at `origin`.
-    PublishDoc {
-        /// The document's raw id.
-        doc: u64,
-        /// Its home server.
-        origin: usize,
-        /// Its initial demand rate.
-        rate: f64,
-    },
-    /// Replace the whole demand mix.
-    SetMix {
-        /// Node count of the replacement mix.
-        nodes: usize,
-        /// The mix as `(node, doc, rate)` triples.
-        demands: Vec<(usize, u64, f64)>,
-    },
+    /// Apply one barrier mutation (inside the open batch, or as a batch
+    /// of one).
+    Op(BarrierOp),
     /// Open a barrier batch: mutations until [`ApplyCmd::BatchCommit`]
     /// defer their oracle refresh, queue surgery, and arrival
     /// re-resolution to one shared pass at commit.
@@ -437,7 +398,7 @@ const EV_COPY: u8 = 3;
 const EV_PROBE: u8 = 4;
 const EV_GRANT: u8 = 5;
 
-// ApplyCmd variant subtags.
+// ApplyCmd subtags: one per BarrierOp kind, then the batch brackets.
 const CMD_FAIL: u8 = 0;
 const CMD_HEAL: u8 = 1;
 const CMD_INVALIDATE: u8 = 2;
@@ -632,6 +593,104 @@ fn read_demands(r: &mut Rd<'_>) -> Result<Vec<(usize, u64, f64)>, CodecError> {
     Ok(demands)
 }
 
+fn put_op(out: &mut Vec<u8>, op: &BarrierOp) {
+    match op {
+        BarrierOp::FailLink { node } => {
+            put_u8(out, CMD_FAIL);
+            put_usize(out, node.index());
+        }
+        BarrierOp::HealLink { node } => {
+            put_u8(out, CMD_HEAL);
+            put_usize(out, node.index());
+        }
+        BarrierOp::Invalidate { doc } => {
+            put_u8(out, CMD_INVALIDATE);
+            put_u64(out, doc.value());
+        }
+        BarrierOp::AddLeaf { parent, rate } => {
+            put_u8(out, CMD_ADD_LEAF);
+            put_usize(out, parent.index());
+            put_f64(out, *rate);
+        }
+        BarrierOp::RemoveLeaf { node } => {
+            put_u8(out, CMD_REMOVE_LEAF);
+            put_usize(out, node.index());
+        }
+        BarrierOp::PublishDoc { doc, origin, rate } => {
+            put_u8(out, CMD_PUBLISH);
+            put_u64(out, doc.value());
+            put_usize(out, origin.index());
+            put_f64(out, *rate);
+        }
+        BarrierOp::SetMix { mix } => {
+            put_u8(out, CMD_SET_MIX);
+            put_usize(out, mix.len());
+            put_demands(out, &mix_demands(mix));
+        }
+    }
+}
+
+/// Decodes the [`BarrierOp`] behind subtag `sub`. A mix's demands must
+/// name nodes of the mix, with finite, non-negative rates; its node
+/// count is capped at [`MAX_FRAME`] (an `Assign` spends at least one
+/// byte per tree node, so no shippable tree is larger).
+fn read_op(sub: u8, r: &mut Rd<'_>) -> Result<BarrierOp, CodecError> {
+    Ok(match sub {
+        CMD_FAIL => BarrierOp::FailLink {
+            node: read_node(r)?,
+        },
+        CMD_HEAL => BarrierOp::HealLink {
+            node: read_node(r)?,
+        },
+        CMD_INVALIDATE => BarrierOp::Invalidate {
+            doc: DocId::new(r.u64()?),
+        },
+        CMD_ADD_LEAF => BarrierOp::AddLeaf {
+            parent: read_node(r)?,
+            rate: r.f64()?,
+        },
+        CMD_REMOVE_LEAF => BarrierOp::RemoveLeaf {
+            node: read_node(r)?,
+        },
+        CMD_PUBLISH => BarrierOp::PublishDoc {
+            doc: DocId::new(r.u64()?),
+            origin: read_node(r)?,
+            rate: r.f64()?,
+        },
+        CMD_SET_MIX => {
+            let nodes = r.usize()?;
+            if nodes > MAX_FRAME {
+                return Err(CodecError::BadValue { what: "mix size" });
+            }
+            let demands = read_demands(r)?;
+            let mut mix = DocMix::new(nodes);
+            for (node, doc, rate) in demands {
+                if node >= nodes {
+                    return Err(CodecError::BadValue { what: "mix node" });
+                }
+                if !(rate.is_finite() && rate >= 0.0) {
+                    return Err(CodecError::BadValue { what: "mix rate" });
+                }
+                mix.set(NodeId::new(node), DocId::new(doc), rate);
+            }
+            BarrierOp::SetMix { mix }
+        }
+        tag => return Err(CodecError::BadTag { tag }),
+    })
+}
+
+/// A demand mix as canonical `(node, doc, rate)` triples, node-major —
+/// the wire form of every mix the protocol carries.
+pub(crate) fn mix_demands(mix: &DocMix) -> Vec<(usize, u64, f64)> {
+    let mut demands = Vec::new();
+    for j in 0..mix.len() {
+        for &(doc, rate) in mix.demands_of(NodeId::new(j)) {
+            demands.push((j, doc.value(), rate));
+        }
+    }
+    demands
+}
+
 fn put_body(out: &mut Vec<u8>, msg: &Msg) {
     match msg {
         Msg::Wire(Wire::Event { at, counter, ev }) => {
@@ -694,38 +753,7 @@ fn put_body(out: &mut Vec<u8>, msg: &Msg) {
         Msg::Apply(cmd) => {
             put_u8(out, TAG_APPLY);
             match cmd {
-                ApplyCmd::FailLink { node } => {
-                    put_u8(out, CMD_FAIL);
-                    put_usize(out, *node);
-                }
-                ApplyCmd::HealLink { node } => {
-                    put_u8(out, CMD_HEAL);
-                    put_usize(out, *node);
-                }
-                ApplyCmd::Invalidate { doc } => {
-                    put_u8(out, CMD_INVALIDATE);
-                    put_u64(out, *doc);
-                }
-                ApplyCmd::AddLeaf { parent, rate } => {
-                    put_u8(out, CMD_ADD_LEAF);
-                    put_usize(out, *parent);
-                    put_f64(out, *rate);
-                }
-                ApplyCmd::RemoveLeaf { node } => {
-                    put_u8(out, CMD_REMOVE_LEAF);
-                    put_usize(out, *node);
-                }
-                ApplyCmd::PublishDoc { doc, origin, rate } => {
-                    put_u8(out, CMD_PUBLISH);
-                    put_u64(out, *doc);
-                    put_usize(out, *origin);
-                    put_f64(out, *rate);
-                }
-                ApplyCmd::SetMix { nodes, demands } => {
-                    put_u8(out, CMD_SET_MIX);
-                    put_usize(out, *nodes);
-                    put_demands(out, demands);
-                }
+                ApplyCmd::Op(op) => put_op(out, op),
                 ApplyCmd::BatchBegin => put_u8(out, CMD_BATCH_BEGIN),
                 ApplyCmd::BatchCommit => put_u8(out, CMD_BATCH_COMMIT),
             }
@@ -876,26 +904,9 @@ pub fn decode_msg(body: &[u8]) -> Result<Msg, CodecError> {
         TAG_APPLY => {
             let sub = r.u8()?;
             let cmd = match sub {
-                CMD_FAIL => ApplyCmd::FailLink { node: r.usize()? },
-                CMD_HEAL => ApplyCmd::HealLink { node: r.usize()? },
-                CMD_INVALIDATE => ApplyCmd::Invalidate { doc: r.u64()? },
-                CMD_ADD_LEAF => ApplyCmd::AddLeaf {
-                    parent: r.usize()?,
-                    rate: r.f64()?,
-                },
-                CMD_REMOVE_LEAF => ApplyCmd::RemoveLeaf { node: r.usize()? },
-                CMD_PUBLISH => ApplyCmd::PublishDoc {
-                    doc: r.u64()?,
-                    origin: r.usize()?,
-                    rate: r.f64()?,
-                },
-                CMD_SET_MIX => ApplyCmd::SetMix {
-                    nodes: r.usize()?,
-                    demands: read_demands(&mut r)?,
-                },
                 CMD_BATCH_BEGIN => ApplyCmd::BatchBegin,
                 CMD_BATCH_COMMIT => ApplyCmd::BatchCommit,
-                tag => return Err(CodecError::BadTag { tag }),
+                sub => ApplyCmd::Op(read_op(sub, &mut r)?),
             };
             Msg::Apply(cmd)
         }

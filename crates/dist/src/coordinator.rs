@@ -16,7 +16,7 @@
 //! distributed run is bit-identical to the sequential and threaded
 //! ones, which the golden tests pin at several worker counts.
 
-use crate::codec::{ApplyCmd, Assign, Msg, WorkerReport};
+use crate::codec::{mix_demands, ApplyCmd, Assign, Msg, WorkerReport};
 use crate::error::DistError;
 use crate::framed::FramedStream;
 use crate::spawn::{find_worker_bin, DistMode};
@@ -27,9 +27,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use ww_core::barrier::BarrierOps;
 use ww_core::packet::{BarrierOp, BarrierOutcome, PacketCounters, PacketSimConfig};
 use ww_core::packetsim::PacketSimReport;
-use ww_model::{DocId, LeafRemoval, NodeId, RateVector, Tree};
+use ww_model::{NodeId, RateVector, Tree};
 use ww_net::TrafficLedger;
 use ww_pdes::{ShardHost, DEFAULT_STALL_TIMEOUT};
 use ww_sim::SimTime;
@@ -538,11 +539,11 @@ impl DistPacketSim {
         })
     }
 
-    /// Broadcasts one barrier mutation and requires every worker to
+    /// Broadcasts one barrier command and requires every worker to
     /// apply it cleanly (the replica already has — same arguments, same
     /// state, same pure logic — so a worker-side rejection is a
     /// protocol desync, not a user error).
-    fn apply(&mut self, cmd: ApplyCmd) -> Result<(), DistError> {
+    fn broadcast(&mut self, cmd: ApplyCmd) -> Result<(), DistError> {
         let t0 = self.apply_rtt.is_on().then(Instant::now);
         for shard in 0..self.workers.len() {
             self.send(shard, &Msg::Apply(cmd.clone()))?;
@@ -576,182 +577,6 @@ impl DistPacketSim {
     /// Panics if `node` is out of range.
     pub fn link_failed(&self, node: NodeId) -> bool {
         self.replica.link_failed(node)
-    }
-
-    /// Fails the control link between `node` and its parent at the
-    /// current barrier, on every participant. Returns `false` when
-    /// already failed.
-    ///
-    /// # Errors
-    ///
-    /// [`DistError`] when a worker is gone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range or is the root.
-    pub fn fail_link(&mut self, node: NodeId) -> Result<bool, DistError> {
-        let local = self.replica.fail_link(node);
-        self.apply(ApplyCmd::FailLink { node: node.index() })?;
-        Ok(local)
-    }
-
-    /// Restores the control link between `node` and its parent.
-    /// Returns `false` when the link was not failed.
-    ///
-    /// # Errors
-    ///
-    /// [`DistError`] when a worker is gone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range or is the root.
-    pub fn heal_link(&mut self, node: NodeId) -> Result<bool, DistError> {
-        let local = self.replica.heal_link(node);
-        self.apply(ApplyCmd::HealLink { node: node.index() })?;
-        Ok(local)
-    }
-
-    /// Invalidates every cached copy of `doc` outside the home server.
-    ///
-    /// # Errors
-    ///
-    /// [`DistError::Model`] when the model rejects the operation (then
-    /// nothing was broadcast — all participants still agree), any other
-    /// [`DistError`] when a worker is gone.
-    pub fn invalidate(&mut self, doc: DocId) -> Result<(), DistError> {
-        self.replica.invalidate(doc)?;
-        self.apply(ApplyCmd::Invalidate { doc: doc.value() })
-    }
-
-    /// A cache server joins as a new leaf under `parent` at the current
-    /// barrier.
-    ///
-    /// # Errors
-    ///
-    /// As [`DistPacketSim::invalidate`].
-    pub fn add_leaf(&mut self, parent: NodeId, rate: f64) -> Result<NodeId, DistError> {
-        let id = self.replica.add_leaf(parent, rate)?;
-        self.apply(ApplyCmd::AddLeaf {
-            parent: parent.index(),
-            rate,
-        })?;
-        Ok(id)
-    }
-
-    /// The leaf `node` departs at the current barrier.
-    ///
-    /// # Errors
-    ///
-    /// As [`DistPacketSim::invalidate`].
-    pub fn remove_leaf(&mut self, node: NodeId) -> Result<LeafRemoval, DistError> {
-        let removal = self.replica.remove_leaf(node)?;
-        self.apply(ApplyCmd::RemoveLeaf { node: node.index() })?;
-        Ok(removal)
-    }
-
-    /// Publishes a document at the current barrier.
-    ///
-    /// # Errors
-    ///
-    /// As [`DistPacketSim::invalidate`].
-    pub fn publish_doc(&mut self, doc: DocId, origin: NodeId, rate: f64) -> Result<(), DistError> {
-        self.replica.publish_doc(doc, origin, rate)?;
-        self.apply(ApplyCmd::PublishDoc {
-            doc: doc.value(),
-            origin: origin.index(),
-            rate,
-        })
-    }
-
-    /// Replaces the whole demand mix at the current barrier.
-    ///
-    /// # Errors
-    ///
-    /// As [`DistPacketSim::invalidate`].
-    pub fn set_mix(&mut self, mix: &DocMix) -> Result<(), DistError> {
-        self.replica.set_mix(mix)?;
-        self.apply(ApplyCmd::SetMix {
-            nodes: mix.len(),
-            demands: mix_demands(mix),
-        })
-    }
-
-    /// Opens a batched barrier window on every participant: subsequent
-    /// barrier mutations still apply their structural effects eagerly,
-    /// but the oracle refresh and the event-queue surgery are deferred
-    /// until [`DistPacketSim::commit_batch`].
-    ///
-    /// # Errors
-    ///
-    /// [`DistError`] when a worker is gone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a batch is already open.
-    pub fn begin_batch(&mut self) -> Result<(), DistError> {
-        self.replica.begin_batch();
-        self.apply(ApplyCmd::BatchBegin)
-    }
-
-    /// Closes the batched window on every participant: one oracle
-    /// refresh, one composed queue-surgery pass, and one arrival
-    /// re-resolution, regardless of how many mutations the batch held.
-    ///
-    /// # Errors
-    ///
-    /// [`DistError`] when a worker is gone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no batch is open.
-    pub fn commit_batch(&mut self) -> Result<(), DistError> {
-        self.replica.commit_batch();
-        self.apply(ApplyCmd::BatchCommit)
-    }
-
-    /// Applies one [`BarrierOp`] by dispatching to the corresponding
-    /// typed method.
-    ///
-    /// # Errors
-    ///
-    /// [`DistError::Model`] when the model rejects the operation, any
-    /// other [`DistError`] when a worker is gone.
-    ///
-    /// # Panics
-    ///
-    /// As the typed methods (node/doc arguments out of range).
-    pub fn apply_op(&mut self, op: &BarrierOp) -> Result<BarrierOutcome, DistError> {
-        match op {
-            BarrierOp::AddLeaf { parent, rate } => {
-                self.add_leaf(*parent, *rate).map(BarrierOutcome::Added)
-            }
-            BarrierOp::RemoveLeaf { node } => self.remove_leaf(*node).map(BarrierOutcome::Removed),
-            BarrierOp::PublishDoc { doc, origin, rate } => self
-                .publish_doc(*doc, *origin, *rate)
-                .map(|()| BarrierOutcome::Done),
-            BarrierOp::SetMix { mix } => self.set_mix(mix).map(|()| BarrierOutcome::Done),
-            BarrierOp::FailLink { node } => Ok(BarrierOutcome::Toggled(self.fail_link(*node)?)),
-            BarrierOp::HealLink { node } => Ok(BarrierOutcome::Toggled(self.heal_link(*node)?)),
-            BarrierOp::Invalidate { doc } => self.invalidate(*doc).map(|()| BarrierOutcome::Done),
-        }
-    }
-
-    /// Applies every operation of one barrier as a single batch: the
-    /// outcome vector matches `ops` one-for-one, and the deferred
-    /// refresh work is paid once at commit instead of once per op.
-    ///
-    /// # Errors
-    ///
-    /// [`DistError`] when opening or closing the batch fails (a worker
-    /// is gone); per-op model rejections land in the returned vector.
-    pub fn apply_all(
-        &mut self,
-        ops: &[BarrierOp],
-    ) -> Result<Vec<Result<BarrierOutcome, DistError>>, DistError> {
-        self.begin_batch()?;
-        let results = ops.iter().map(|op| self.apply_op(op)).collect();
-        self.commit_batch()?;
-        Ok(results)
     }
 
     /// A deterministic snapshot of the coordinator-side observations:
@@ -847,19 +672,32 @@ impl DistPacketSim {
     }
 }
 
+/// Every op applies to the replica first; a model rejection returns
+/// [`DistError::Model`] before anything is broadcast, so all
+/// participants still agree. Any other [`DistError`] means a worker is
+/// gone.
+impl BarrierOps for DistPacketSim {
+    type Error = DistError;
+
+    fn apply_op(&mut self, op: &BarrierOp) -> Result<BarrierOutcome, DistError> {
+        let outcome = self.replica.apply_op(op)?;
+        self.broadcast(ApplyCmd::Op(op.clone()))?;
+        Ok(outcome)
+    }
+
+    fn begin_batch(&mut self) -> Result<(), DistError> {
+        self.replica.begin_batch()?;
+        self.broadcast(ApplyCmd::BatchBegin)
+    }
+
+    fn commit_batch(&mut self) -> Result<(), DistError> {
+        self.replica.commit_batch()?;
+        self.broadcast(ApplyCmd::BatchCommit)
+    }
+}
+
 impl Drop for DistPacketSim {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-/// The demand mix as canonical `(node, doc, rate)` triples, node-major.
-fn mix_demands(mix: &DocMix) -> Vec<(usize, u64, f64)> {
-    let mut demands = Vec::new();
-    for j in 0..mix.len() {
-        for &(doc, rate) in mix.demands_of(NodeId::new(j)) {
-            demands.push((j, doc.value(), rate));
-        }
-    }
-    demands
 }

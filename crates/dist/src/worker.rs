@@ -18,6 +18,7 @@ use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
+use ww_core::barrier::BarrierOps;
 use ww_model::{DocId, NodeId, Tree};
 use ww_pdes::{partition_subtrees, ShardHost};
 use ww_workload::DocMix;
@@ -185,7 +186,12 @@ fn serve(ctrl: &mut FramedStream, host: &mut ShardHost, me: usize) -> Result<(),
                 }
             },
             Msg::Apply(cmd) => {
-                let err = apply(host, &cmd).err().map(|e| e.to_string());
+                let applied = match &cmd {
+                    ApplyCmd::Op(op) => host.apply_op(op).map(drop),
+                    ApplyCmd::BatchBegin => host.begin_batch(),
+                    ApplyCmd::BatchCommit => host.commit_batch(),
+                };
+                let err = applied.err().map(|e| e.to_string());
                 ctrl.write_msg(&Msg::Applied { err })?;
             }
             Msg::ReportRequest { now } => {
@@ -211,37 +217,4 @@ fn serve(ctrl: &mut FramedStream, host: &mut ShardHost, me: usize) -> Result<(),
             other => return Err(protocol(format!("unexpected control message {other:?}"))),
         }
     }
-}
-
-/// Applies one barrier mutation to the host — the worker-side mirror of
-/// the coordinator's replica application.
-fn apply(host: &mut ShardHost, cmd: &ApplyCmd) -> Result<(), ww_model::ModelError> {
-    match cmd {
-        ApplyCmd::FailLink { node } => {
-            host.fail_link(NodeId::new(*node));
-        }
-        ApplyCmd::HealLink { node } => {
-            host.heal_link(NodeId::new(*node));
-        }
-        ApplyCmd::Invalidate { doc } => host.invalidate(DocId::new(*doc))?,
-        ApplyCmd::AddLeaf { parent, rate } => {
-            host.add_leaf(NodeId::new(*parent), *rate)?;
-        }
-        ApplyCmd::RemoveLeaf { node } => {
-            host.remove_leaf(NodeId::new(*node))?;
-        }
-        ApplyCmd::PublishDoc { doc, origin, rate } => {
-            host.publish_doc(DocId::new(*doc), NodeId::new(*origin), *rate)?;
-        }
-        ApplyCmd::SetMix { nodes, demands } => {
-            let mut mix = DocMix::new(*nodes);
-            for &(node, doc, rate) in demands {
-                mix.set(NodeId::new(node), DocId::new(doc), rate);
-            }
-            host.set_mix(&mix)?;
-        }
-        ApplyCmd::BatchBegin => host.begin_batch(),
-        ApplyCmd::BatchCommit => host.commit_batch(),
-    }
-    Ok(())
 }

@@ -3,7 +3,7 @@
 //! and malformed frames always yield typed errors, never panics.
 
 use proptest::prelude::*;
-use ww_core::packet::{PacketEvent, PacketSimConfig};
+use ww_core::packet::{BarrierOp, PacketEvent, PacketSimConfig};
 use ww_dist::{
     decode_msg, encode_msg, ApplyCmd, Assign, CodecError, FrameBuffer, Msg, WorkerReport,
 };
@@ -11,6 +11,7 @@ use ww_model::{DocId, NodeId};
 use ww_net::{DocRequest, RequestId};
 use ww_pdes::Wire;
 use ww_sim::SimTime;
+use ww_workload::DocMix;
 
 fn arb_time() -> impl Strategy<Value = SimTime> {
     (0.0f64..1.0e9).prop_map(SimTime::from_secs)
@@ -128,29 +129,69 @@ fn arb_demands() -> impl Strategy<Value = Vec<(usize, u64, f64)>> {
     proptest::collection::vec((0usize..200, 0u64..200, arb_f64()), 0..16)
 }
 
+/// A well-formed mix: every demand names a node of the mix, rates are
+/// finite and non-negative (the decoder rejects anything else).
+fn arb_mix() -> impl Strategy<Value = DocMix> {
+    (1usize..200, arb_demands()).prop_map(|(nodes, demands)| {
+        let mut mix = DocMix::new(nodes);
+        for (node, doc, rate) in demands {
+            mix.set(NodeId::new(node % nodes), DocId::new(doc), rate.abs());
+        }
+        mix
+    })
+}
+
 fn arb_apply() -> BoxedStrategy<ApplyCmd> {
+    let op = |op: BarrierOp| ApplyCmd::Op(op);
     (0u8..9)
-        .prop_flat_map(|variant| match variant {
+        .prop_flat_map(move |variant| match variant {
             0 => (0usize..1000)
-                .prop_map(|node| ApplyCmd::FailLink { node })
+                .prop_map(move |node| {
+                    op(BarrierOp::FailLink {
+                        node: NodeId::new(node),
+                    })
+                })
                 .boxed(),
             1 => (0usize..1000)
-                .prop_map(|node| ApplyCmd::HealLink { node })
+                .prop_map(move |node| {
+                    op(BarrierOp::HealLink {
+                        node: NodeId::new(node),
+                    })
+                })
                 .boxed(),
             2 => (0u64..1000)
-                .prop_map(|doc| ApplyCmd::Invalidate { doc })
+                .prop_map(move |doc| {
+                    op(BarrierOp::Invalidate {
+                        doc: DocId::new(doc),
+                    })
+                })
                 .boxed(),
             3 => (0usize..1000, arb_f64())
-                .prop_map(|(parent, rate)| ApplyCmd::AddLeaf { parent, rate })
+                .prop_map(move |(parent, rate)| {
+                    op(BarrierOp::AddLeaf {
+                        parent: NodeId::new(parent),
+                        rate,
+                    })
+                })
                 .boxed(),
             4 => (0usize..1000)
-                .prop_map(|node| ApplyCmd::RemoveLeaf { node })
+                .prop_map(move |node| {
+                    op(BarrierOp::RemoveLeaf {
+                        node: NodeId::new(node),
+                    })
+                })
                 .boxed(),
             5 => (0u64..1000, 0usize..1000, arb_f64())
-                .prop_map(|(doc, origin, rate)| ApplyCmd::PublishDoc { doc, origin, rate })
+                .prop_map(move |(doc, origin, rate)| {
+                    op(BarrierOp::PublishDoc {
+                        doc: DocId::new(doc),
+                        origin: NodeId::new(origin),
+                        rate,
+                    })
+                })
                 .boxed(),
-            6 => (0usize..200, arb_demands())
-                .prop_map(|(nodes, demands)| ApplyCmd::SetMix { nodes, demands })
+            6 => arb_mix()
+                .prop_map(move |mix| op(BarrierOp::SetMix { mix }))
                 .boxed(),
             7 => Just(ApplyCmd::BatchBegin).boxed(),
             _ => Just(ApplyCmd::BatchCommit).boxed(),
@@ -369,4 +410,41 @@ fn bad_tag_and_bad_values_are_typed() {
     let mut body = frame[4..].to_vec();
     body.push(0);
     assert_eq!(decode_msg(&body), Err(CodecError::Truncated));
+}
+
+#[test]
+fn set_mix_bodies_are_validated() {
+    let mut mix = DocMix::new(3);
+    mix.set(NodeId::new(2), DocId::new(7), 1.5);
+    let mut frame = Vec::new();
+    encode_msg(
+        &Msg::Apply(ApplyCmd::Op(BarrierOp::SetMix { mix })),
+        &mut frame,
+    );
+    let body = frame[4..].to_vec();
+    // Layout: tag, subtag, node count (8), demand count (4), then one
+    // `(node, doc, rate)` triple of 8 bytes each.
+    let node_at = 2 + 8 + 4;
+    let rate_at = node_at + 16;
+
+    let mut bad_node = body.clone();
+    bad_node[node_at..node_at + 8].copy_from_slice(&3u64.to_le_bytes());
+    assert_eq!(
+        decode_msg(&bad_node),
+        Err(CodecError::BadValue { what: "mix node" })
+    );
+
+    let mut bad_rate = body.clone();
+    bad_rate[rate_at..rate_at + 8].copy_from_slice(&(-1.0f64).to_bits().to_le_bytes());
+    assert_eq!(
+        decode_msg(&bad_rate),
+        Err(CodecError::BadValue { what: "mix rate" })
+    );
+
+    let mut huge = body;
+    huge[2..10].copy_from_slice(&u64::MAX.to_le_bytes());
+    assert_eq!(
+        decode_msg(&huge),
+        Err(CodecError::BadValue { what: "mix size" })
+    );
 }

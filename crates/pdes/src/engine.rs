@@ -46,11 +46,11 @@
 //! stage* per wire: only the head of each wire competes in the shard's
 //! `(time, key)` event merge, so cross-shard arrivals never churn the
 //! main queue at all. Pending local events live in a
-//! [`RadixQueue`]. The `ww-dist` crate supplies socket-backed wires so
-//! shards can live in different OS processes. The legacy paths this
-//! hot path replaced (an MPMC channel transport, per-event publishing,
-//! a binary-heap queue) were retired once their comparison was on
-//! record: the `parallel_scaling` new-vs-old rows of
+//! [`RadixQueue`](ww_sim::RadixQueue). The `ww-dist` crate supplies
+//! socket-backed wires so shards can live in different OS processes.
+//! The legacy paths this hot path replaced (an MPMC channel transport,
+//! per-event publishing, a binary-heap queue) were retired once their
+//! comparison was on record: the `parallel_scaling` new-vs-old rows of
 //! `BENCH_webfold_scaling.json`.
 //!
 //! # Determinism
@@ -70,20 +70,21 @@
 //! served rates, ledger, counters, processed-event counts). The golden
 //! tests in this crate and in `ww-scenario` pin exactly that.
 
-use crate::ops::{self, ShardStore, SimCore};
+use crate::ops;
 use crate::partition::partition_subtrees;
 use crate::rebalance::{rebalance_plan, LoadSummary, RebalanceConfig};
 use crate::transport::{ring_wire, LinkError, StageError, Wire, WireReceiver, WireSender};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
+use ww_core::barrier::{BarrierOps, ShardState, SimCore};
 use ww_core::packet::{
     self, BarrierOp, BarrierOutcome, DriverSource, NodeCtx, NodeState, PacketCounters, PacketEvent,
-    PacketSimConfig, PacketWorld, Scratch,
+    PacketSimConfig, PacketWorld,
 };
 use ww_core::packetsim::PacketSimReport;
-use ww_model::{DocId, LeafRemoval, ModelError, NodeId, RateVector, Tree};
+use ww_model::{ModelError, NodeId, RateVector, Tree};
 use ww_net::TrafficLedger;
-use ww_sim::{RadixQueue, SimQueue, SimTime, TimerRing};
+use ww_sim::{SimQueue, SimTime};
 use ww_stats::{ConvergenceTrace, ExactSum};
 use ww_telemetry::{Counters, Key, Level, PhaseStat, Phases, Snapshot};
 use ww_workload::DocMix;
@@ -249,14 +250,9 @@ enum Source {
 #[derive(Debug)]
 pub(crate) struct Shard {
     pub(crate) id: usize,
-    pub(crate) states: Vec<NodeState>,
-    pub(crate) queue: RadixQueue<PacketEvent>,
-    pub(crate) gossip_ring: TimerRing,
-    pub(crate) diffusion_ring: TimerRing,
-    pub(crate) ledger: TrafficLedger,
-    pub(crate) counters: PacketCounters,
-    pub(crate) scratch: Scratch,
-    pub(crate) outbox: Vec<(SimTime, PacketEvent)>,
+    /// The member nodes' states, queue, timer rings and ledgers — the
+    /// part the shared barrier mutations of `ww_core::barrier` touch.
+    pub(crate) local: ShardState,
     pub(crate) out_links: Vec<OutLink>,
     pub(crate) in_links: Vec<InLink>,
     /// Shard id -> index into `out_links` (`usize::MAX`: not adjacent).
@@ -276,13 +272,17 @@ pub(crate) struct Shard {
     /// Observation-only phase timers over [`PDES_PHASES`].
     pub(crate) tel_phases: Phases,
     /// `true` while the rebalance controller needs per-node event
-    /// attribution. Off (the default), the hot path pays one branch.
+    /// attribution (`NodeState::window_events`). Off (the default), the
+    /// hot path pays one branch. Attribution is deterministic: every
+    /// event is credited to the node whose handler ran it, and which
+    /// events run is partition-invariant.
     pub(crate) track_loads: bool,
-    /// Events executed per local node since the last rebalance
-    /// evaluation window opened (parallel to `states`). Deterministic:
-    /// every event is attributed to the node whose handler ran it, and
-    /// which events run is partition-invariant.
-    pub(crate) window_events: Vec<u64>,
+}
+
+impl AsMut<ShardState> for Shard {
+    fn as_mut(&mut self) -> &mut ShardState {
+        &mut self.local
+    }
 }
 
 /// Read-only state shared by all workers during an epoch.
@@ -304,10 +304,9 @@ impl<'a> Shared<'a> {
     }
 }
 
-/// Builds one shard of `partition` over `world`, with its event queue,
-/// timer rings, and initial arrivals resolved — the construction shared
-/// by the in-process simulator (all shards) and a distributed worker
-/// (exactly one shard).
+/// Builds one shard of `partition` over `world`, primed by
+/// [`ShardState::prime`] — the construction shared by the in-process
+/// simulator (all shards) and a distributed worker (exactly one shard).
 pub(crate) fn build_shard(
     world: &PacketWorld,
     partition: &crate::partition::Partition,
@@ -316,51 +315,22 @@ pub(crate) fn build_shard(
     ins: Vec<InLink>,
     stall_timeout: Option<Duration>,
 ) -> Shard {
-    let config = &world.config;
-    let members = &partition.members[id];
-    let mut states: Vec<NodeState> = members
-        .iter()
-        .map(|&u| packet::init_state(world, u))
-        .collect();
-    let mut queue = RadixQueue::default();
-    let mut gossip_ring = TimerRing::new(SimTime::from_secs(config.gossip_period), members.len());
-    let mut diffusion_ring =
-        TimerRing::new(SimTime::from_secs(config.diffusion_period), members.len());
-    let mut outbox = Vec::new();
-    for (local, &u) in members.iter().enumerate() {
-        packet::initial_arrivals(world, &mut states[local], u, &mut outbox);
-        for (at, ev) in outbox.drain(..) {
-            queue.schedule(at, ev);
-        }
-        let gossip_seq = queue.alloc_seq();
-        gossip_ring.insert(local, world.gossip_phase(u.index()), gossip_seq);
-        let diffusion_seq = queue.alloc_seq();
-        diffusion_ring.insert(local, world.diffusion_phase(u.index()), diffusion_seq);
-    }
     let mut out_for = vec![usize::MAX; partition.shards()];
     for (li, link) in outs.iter().enumerate() {
         out_for[link.peer] = li;
     }
     Shard {
         id,
-        states,
-        queue,
-        gossip_ring,
-        diffusion_ring,
-        ledger: TrafficLedger::new(),
-        counters: PacketCounters::default(),
-        scratch: Scratch::default(),
-        outbox,
+        local: ShardState::prime(world, &partition.members[id]),
         out_links: outs,
         in_links: ins,
         out_for,
-        lookahead: SimTime::from_secs(config.link_delay),
+        lookahead: SimTime::from_secs(world.config.link_delay),
         t_end: SimTime::ZERO,
         stall_timeout,
         tel: Counters::off(PDES_KEYS),
         tel_phases: Phases::new(PDES_PHASES, Level::Off),
         track_loads: false,
-        window_events: vec![0; members.len()],
     }
 }
 
@@ -378,7 +348,11 @@ impl Shard {
     /// [`packet::next_source`], so tie-breaking can never diverge from
     /// the sequential driver.
     fn next_source(&self) -> Option<(SimTime, u64, DriverSource)> {
-        packet::next_source(&self.queue, &self.gossip_ring, &self.diffusion_ring)
+        packet::next_source(
+            &self.local.queue,
+            &self.local.gossip_ring,
+            &self.local.diffusion_ring,
+        )
     }
 
     /// The earliest pending `(time, key)` across the local sources *and*
@@ -407,11 +381,11 @@ impl Shard {
     /// their wire with the next per-channel counter (published once per
     /// window by [`Shard::flush_out`]).
     fn route_outbox(&mut self, sh: &Shared<'_>) -> Result<(), LinkError> {
-        let mut out = std::mem::take(&mut self.outbox);
+        let mut out = std::mem::take(&mut self.local.outbox);
         for (at, ev) in out.drain(..) {
             let target = sh.partition.shard_of[ev.node().index()];
             if target == self.id {
-                self.queue.schedule(at, ev);
+                self.local.queue.schedule(at, ev);
             } else {
                 let li = self.out_for[target];
                 debug_assert_ne!(li, usize::MAX, "send to non-adjacent shard");
@@ -425,7 +399,7 @@ impl Shard {
                 })?;
             }
         }
-        self.outbox = out;
+        self.local.outbox = out;
         Ok(())
     }
 
@@ -441,12 +415,12 @@ impl Shard {
         let mut ctx = NodeCtx {
             world: sh.world,
             failed_up: sh.failed_up,
-            ledger: &mut self.ledger,
-            counters: &mut self.counters,
-            out: &mut self.outbox,
-            scratch: &mut self.scratch,
+            ledger: &mut self.local.ledger,
+            counters: &mut self.local.counters,
+            out: &mut self.local.outbox,
+            scratch: &mut self.local.scratch,
         };
-        handler(&mut ctx, &mut self.states[li]);
+        handler(&mut ctx, &mut self.local.nodes[li]);
         self.route_outbox(sh)
     }
 
@@ -463,48 +437,48 @@ impl Shard {
             popped += 1;
             match source {
                 Source::Driver(DriverSource::Heap) => {
-                    let (t, event) = self.queue.pop().expect("peeked event exists");
+                    let (t, event) = self.local.queue.pop().expect("peeked event exists");
                     let li = sh.partition.local_index[event.node().index()] as usize;
                     if self.track_loads {
-                        self.window_events[li] += 1;
+                        self.local.nodes[li].window_events += 1;
                     }
                     self.with_node(sh, li, |ctx, state| packet::handle(ctx, state, t, event))?;
                 }
                 Source::Driver(DriverSource::Gossip) => {
-                    let (t, member) = self.gossip_ring.pop().expect("peeked fire exists");
-                    self.queue.advance_to(t);
+                    let (t, member) = self.local.gossip_ring.pop().expect("peeked fire exists");
+                    self.local.queue.advance_to(t);
                     let node = sh.partition.members[self.id][member];
                     if self.track_loads {
-                        self.window_events[member] += 1;
+                        self.local.nodes[member].window_events += 1;
                     }
                     self.with_node(sh, member, |ctx, state| {
                         packet::on_gossip_timer(ctx, state, t, node);
                     })?;
-                    let seq = self.queue.alloc_seq();
-                    self.gossip_ring.rearm(member, seq);
+                    let seq = self.local.queue.alloc_seq();
+                    self.local.gossip_ring.rearm(member, seq);
                 }
                 Source::Driver(DriverSource::Diffusion) => {
-                    let (t, member) = self.diffusion_ring.pop().expect("peeked fire exists");
-                    self.queue.advance_to(t);
+                    let (t, member) = self.local.diffusion_ring.pop().expect("peeked fire exists");
+                    self.local.queue.advance_to(t);
                     let node = sh.partition.members[self.id][member];
                     if self.track_loads {
-                        self.window_events[member] += 1;
+                        self.local.nodes[member].window_events += 1;
                     }
                     self.with_node(sh, member, |ctx, state| {
                         packet::on_diffusion(ctx, state, t, node);
                     })?;
-                    let seq = self.queue.alloc_seq();
-                    self.diffusion_ring.rearm(member, seq);
+                    let seq = self.local.queue.alloc_seq();
+                    self.local.diffusion_ring.rearm(member, seq);
                 }
                 Source::Staged(li) => {
                     let staged = self.in_links[li].staged.take().expect("staged head exists");
                     // The clock advance counts the inbound event as
                     // processed, mirroring the pop the sequential driver
                     // performs for the same event.
-                    self.queue.advance_to(staged.at);
+                    self.local.queue.advance_to(staged.at);
                     let local = sh.partition.local_index[staged.ev.node().index()] as usize;
                     if self.track_loads {
-                        self.window_events[local] += 1;
+                        self.local.nodes[local].window_events += 1;
                     }
                     self.with_node(sh, local, |ctx, state| {
                         packet::handle(ctx, state, staged.at, staged.ev);
@@ -583,7 +557,9 @@ impl Shard {
         let mut any = false;
         for li in 0..self.in_links.len() {
             if let Some(staged) = self.in_links[li].staged.take() {
-                self.queue.schedule_keyed(staged.at, staged.key, staged.ev);
+                self.local
+                    .queue
+                    .schedule_keyed(staged.at, staged.key, staged.ev);
                 any = true;
             }
             loop {
@@ -598,7 +574,7 @@ impl Shard {
                         if at > link.promise {
                             link.promise = at;
                         }
-                        self.queue.schedule_keyed(at, key, ev);
+                        self.local.queue.schedule_keyed(at, key, ev);
                     }
                     Wire::Promise { until } => {
                         if until > link.promise {
@@ -721,7 +697,7 @@ fn run_epoch(
     let mut idle_since: Option<Instant> = None;
     shard
         .tel
-        .record_max(K_QUEUE_DEPTH, shard.queue.len() as u64);
+        .record_max(K_QUEUE_DEPTH, shard.local.queue.len() as u64);
     let compute_span = shard.tel_phases.begin();
     loop {
         let mut progressed = shard.poll_inbound()?;
@@ -785,7 +761,7 @@ fn run_epoch(
                     sh.partition.members[shard.id]
                         .iter()
                         .map(|u| u.index())
-                        .zip(shard.states.iter_mut()),
+                        .zip(shard.local.nodes.iter_mut()),
                     t_end.as_secs(),
                 )
             });
@@ -961,13 +937,7 @@ impl ParPacketSim {
             .collect();
 
         ParPacketSim {
-            core: SimCore {
-                failed_up: vec![false; world.len()],
-                world,
-                partition,
-                horizon: SimTime::ZERO,
-                batch: None,
-            },
+            core: SimCore::new(world, partition),
             shards,
             trace: ConvergenceTrace::new(),
             epochs_sampled: 0,
@@ -1014,9 +984,17 @@ impl ParPacketSim {
         let on = self.rebalance.is_some();
         for shard in &mut self.shards {
             shard.track_loads = on;
-            shard.window_events.iter_mut().for_each(|w| *w = 0);
+            shard
+                .local
+                .nodes
+                .iter_mut()
+                .for_each(|n| n.window_events = 0);
         }
-        self.window_base = self.shards.iter().map(|s| s.queue.processed()).collect();
+        self.window_base = self
+            .shards
+            .iter()
+            .map(|s| s.local.queue.processed())
+            .collect();
         self.window_start_epoch = self.epochs_sampled;
     }
 
@@ -1065,7 +1043,7 @@ impl ParPacketSim {
         for shard in &self.shards {
             snap.push_counter(
                 &format!("pdes.shard.{}.events", shard.id),
-                shard.queue.processed(),
+                shard.local.queue.processed(),
             );
         }
         // Fixed-point (x1000): the snapshot carries u64 counters only.
@@ -1178,7 +1156,7 @@ impl ParPacketSim {
         }
         let mut deltas = Vec::with_capacity(shards);
         for (shard, base) in self.shards.iter().zip(self.epoch_base.iter_mut()) {
-            let now = shard.queue.processed();
+            let now = shard.local.queue.processed();
             deltas.push(now - *base);
             *base = now;
         }
@@ -1211,7 +1189,7 @@ impl ParPacketSim {
             .shards
             .iter()
             .zip(&self.window_base)
-            .map(|(shard, base)| shard.queue.processed() - base)
+            .map(|(shard, base)| shard.local.queue.processed() - base)
             .collect();
         let window = LoadSummary {
             shard_events: deltas,
@@ -1222,9 +1200,8 @@ impl ParPacketSim {
             let n = self.core.world.len();
             let mut node_events = vec![0u64; n];
             for (j, count) in node_events.iter_mut().enumerate() {
-                let s = self.core.partition.shard_of[j];
-                let li = self.core.partition.local_index[j] as usize;
-                *count = self.shards[s].window_events[li];
+                let (s, li) = self.core.partition.locate(j);
+                *count = self.shards[s].local.nodes[li].window_events;
             }
             let plan = rebalance_plan(&self.core.world.tree, &self.core.partition, &node_events);
             if !plan.is_empty() {
@@ -1237,11 +1214,19 @@ impl ParPacketSim {
             // actually spent it — zeroing is O(n), and paying it on
             // quiet windows would betray the O(shards) idle cost.
             for shard in &mut self.shards {
-                shard.window_events.iter_mut().for_each(|w| *w = 0);
+                shard
+                    .local
+                    .nodes
+                    .iter_mut()
+                    .for_each(|n| n.window_events = 0);
             }
         }
         // Open the next trigger window (whether or not anything moved).
-        self.window_base = self.shards.iter().map(|s| s.queue.processed()).collect();
+        self.window_base = self
+            .shards
+            .iter()
+            .map(|s| s.local.queue.processed())
+            .collect();
         self.window_start_epoch = self.epochs_sampled;
     }
 
@@ -1323,9 +1308,8 @@ impl ParPacketSim {
         let now = self.core.horizon.as_secs().max(1e-9);
         let rates: Vec<f64> = (0..self.core.world.len())
             .map(|j| {
-                let s = self.core.partition.shard_of[j];
-                let li = self.core.partition.local_index[j] as usize;
-                packet::sample_served_rate(&mut self.shards[s].states[li], now)
+                let (s, li) = self.core.partition.locate(j);
+                packet::sample_served_rate(&mut self.shards[s].local.nodes[li], now)
             })
             .collect();
         let served_rates = RateVector::from(rates);
@@ -1335,15 +1319,18 @@ impl ParPacketSim {
         let mut overflow_parks = self.retired_parks;
         let mut overflow_peak_parked = self.retired_peak_parked;
         for shard in &self.shards {
-            ledger.merge(&shard.ledger);
-            counters.merge(&shard.counters);
+            ledger.merge(&shard.local.ledger);
+            counters.merge(&shard.local.counters);
             for link in &shard.out_links {
                 overflow_parks += link.parks;
                 overflow_peak_parked = overflow_peak_parked.max(link.peak_parked);
             }
         }
-        let shard_event_counts: Vec<u64> =
-            self.shards.iter().map(|s| s.queue.processed()).collect();
+        let shard_event_counts: Vec<u64> = self
+            .shards
+            .iter()
+            .map(|s| s.local.queue.processed())
+            .collect();
         let imbalance = LoadSummary {
             shard_events: shard_event_counts.clone(),
         }
@@ -1394,9 +1381,8 @@ impl ParPacketSim {
     ///
     /// Panics if `node` is out of range.
     pub fn served_total(&self, node: NodeId) -> u64 {
-        let s = self.core.partition.shard_of[node.index()];
-        let li = self.core.partition.local_index[node.index()] as usize;
-        self.shards[s].states[li].served_total
+        let (s, li) = self.core.partition.locate(node.index());
+        self.shards[s].local.nodes[li].served_total
     }
 
     /// Whether the control link from `node` to its parent is failed.
@@ -1408,158 +1394,6 @@ impl ParPacketSim {
         self.core.failed_up[node.index()]
     }
 
-    /// Fails the control link between `node` and its parent (applied at
-    /// the current barrier; takes effect for all later epochs). Returns
-    /// `false` when already failed. See
-    /// [`PacketSim::fail_link`](ww_core::packetsim::PacketSim::fail_link).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range or is the root.
-    pub fn fail_link(&mut self, node: NodeId) -> bool {
-        ops::fail_link(&mut self.core, node)
-    }
-
-    /// Restores the control link between `node` and its parent. Returns
-    /// `false` when the link was not failed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range or is the root.
-    pub fn heal_link(&mut self, node: NodeId) -> bool {
-        ops::heal_link(&mut self.core, node)
-    }
-
-    /// Re-publish (update) a document at the current barrier: every
-    /// cached copy outside the home server is invalidated, exactly as
-    /// [`PacketSim::invalidate`](ww_core::packetsim::PacketSim::invalidate)
-    /// (one charged invalidation message per revoked copy).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::UnknownDocument`] when `doc` is outside the
-    /// simulated universe.
-    pub fn invalidate(&mut self, doc: DocId) -> Result<(), ModelError> {
-        ops::invalidate(&mut self.core, &mut self.shards, doc)
-    }
-
-    /// A cache server joins as a new leaf under `parent` at the current
-    /// barrier — the parallel twin of
-    /// [`PacketSim::add_leaf`](ww_core::packetsim::PacketSim::add_leaf).
-    /// The newcomer is hosted by its parent's shard (so the join opens
-    /// no new cut pair and needs no new wire), its timers arm
-    /// phase-staggered after the barrier, and
-    /// every arrival stream is re-resolved.
-    ///
-    /// # Errors
-    ///
-    /// As [`PacketWorld::join`]: unknown parent or invalid rate.
-    pub fn add_leaf(&mut self, parent: NodeId, rate: f64) -> Result<NodeId, ModelError> {
-        ops::add_leaf(&mut self.core, &mut self.shards, parent, rate)
-    }
-
-    /// A leaf cache server departs at the current barrier — the
-    /// parallel twin of
-    /// [`PacketSim::remove_leaf`](ww_core::packetsim::PacketSim::remove_leaf).
-    /// Ids compact by swap-remove; the renumbered former-last node stays
-    /// on its own shard, so the compaction is a pure bookkeeping move —
-    /// no node state crosses a shard boundary. Every shard applies the
-    /// same event surgery to its queue, and the arrival stage rebuilds.
-    ///
-    /// # Errors
-    ///
-    /// As [`PacketWorld::leave`]: unknown id, the root, or an interior
-    /// node.
-    pub fn remove_leaf(&mut self, node: NodeId) -> Result<LeafRemoval, ModelError> {
-        ops::remove_leaf(&mut self.core, &mut self.shards, node)
-    }
-
-    /// Publishes a document at the current barrier — the parallel twin
-    /// of [`PacketSim::publish_doc`](ww_core::packetsim::PacketSim::publish_doc).
-    ///
-    /// # Errors
-    ///
-    /// As [`PacketWorld::publish`]: unknown origin or invalid rate.
-    pub fn publish_doc(&mut self, doc: DocId, origin: NodeId, rate: f64) -> Result<(), ModelError> {
-        ops::publish_doc(&mut self.core, &mut self.shards, doc, origin, rate)
-    }
-
-    /// Replaces the whole demand mix at the current barrier — the
-    /// parallel twin of
-    /// [`PacketSim::set_mix`](ww_core::packetsim::PacketSim::set_mix).
-    ///
-    /// # Errors
-    ///
-    /// As [`PacketWorld::set_mix`]: a mix not covering the current tree.
-    pub fn set_mix(&mut self, mix: &DocMix) -> Result<(), ModelError> {
-        ops::set_mix(&mut self.core, &mut self.shards, mix)
-    }
-
-    /// Opens a barrier batch — the parallel twin of
-    /// [`PacketSim::begin_batch`](ww_core::packetsim::PacketSim::begin_batch):
-    /// barrier mutations until [`ParPacketSim::commit_batch`]
-    /// defer their oracle refresh, queue surgery, and arrival
-    /// re-resolution to one shared pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a batch is already open.
-    pub fn begin_batch(&mut self) {
-        ops::begin_batch(&mut self.core);
-    }
-
-    /// Closes the batch; the result is bit-identical to unbatched
-    /// application.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no batch is open.
-    pub fn commit_batch(&mut self) {
-        ops::commit_batch(&mut self.core, &mut self.shards);
-    }
-
-    /// Applies one uniform [`BarrierOp`] through the matching typed
-    /// method (honoring an open batch).
-    ///
-    /// # Errors
-    ///
-    /// As the matching typed method; a failed op mutates nothing.
-    ///
-    /// # Panics
-    ///
-    /// As the matching typed method — [`BarrierOp::FailLink`] /
-    /// [`BarrierOp::HealLink`] on the root or out of range.
-    pub fn apply_op(&mut self, op: &BarrierOp) -> Result<BarrierOutcome, ModelError> {
-        match op {
-            BarrierOp::AddLeaf { parent, rate } => {
-                self.add_leaf(*parent, *rate).map(BarrierOutcome::Added)
-            }
-            BarrierOp::RemoveLeaf { node } => self.remove_leaf(*node).map(BarrierOutcome::Removed),
-            BarrierOp::PublishDoc { doc, origin, rate } => self
-                .publish_doc(*doc, *origin, *rate)
-                .map(|()| BarrierOutcome::Done),
-            BarrierOp::SetMix { mix } => self.set_mix(mix).map(|()| BarrierOutcome::Done),
-            BarrierOp::FailLink { node } => Ok(BarrierOutcome::Toggled(self.fail_link(*node))),
-            BarrierOp::HealLink { node } => Ok(BarrierOutcome::Toggled(self.heal_link(*node))),
-            BarrierOp::Invalidate { doc } => self.invalidate(*doc).map(|()| BarrierOutcome::Done),
-        }
-    }
-
-    /// Applies a same-barrier storm as one batch, mirroring
-    /// [`PacketSim::apply_all`](ww_core::packetsim::PacketSim::apply_all)
-    /// bit for bit at any worker count.
-    ///
-    /// # Panics
-    ///
-    /// As [`ParPacketSim::apply_op`], and if a batch is already
-    /// open.
-    pub fn apply_all(&mut self, ops: &[BarrierOp]) -> Vec<Result<BarrierOutcome, ModelError>> {
-        self.begin_batch();
-        let results = ops.iter().map(|op| self.apply_op(op)).collect();
-        self.commit_batch();
-        results
-    }
-
     /// The shared world (topology, mix, oracle, configuration) as the
     /// simulation currently sees it.
     pub fn world(&self) -> &PacketWorld {
@@ -1567,14 +1401,23 @@ impl ParPacketSim {
     }
 }
 
-impl ShardStore for Vec<Shard> {
-    fn shard_mut(&mut self, id: usize) -> Option<&mut Shard> {
-        self.get_mut(id)
+/// Barrier mutations apply at the current horizon on every shard,
+/// bit-identical to [`PacketSim`](ww_core::packetsim::PacketSim)'s at
+/// any worker count.
+impl BarrierOps for ParPacketSim {
+    type Error = ModelError;
+
+    fn apply_op(&mut self, op: &BarrierOp) -> Result<BarrierOutcome, ModelError> {
+        self.core.apply(&mut self.shards, op)
     }
 
-    fn for_each(&mut self, f: &mut dyn FnMut(&mut Shard)) {
-        for shard in self.iter_mut() {
-            f(shard);
-        }
+    fn begin_batch(&mut self) -> Result<(), ModelError> {
+        self.core.begin_batch();
+        Ok(())
+    }
+
+    fn commit_batch(&mut self) -> Result<(), ModelError> {
+        self.core.commit_batch(&mut self.shards);
+        Ok(())
     }
 }

@@ -7,23 +7,24 @@
 //! shard, and the coordinator hosts none — it keeps a replica of the
 //! shared bookkeeping (world, partition, horizon) to mirror barrier
 //! mutations and assemble reports. `ShardHost` is the harness both
-//! sides use. It owns a `SimCore`-equivalent plus the optional shard,
-//! runs epochs over externally supplied wires (sockets, in the
-//! `ww-dist` crate), and applies every barrier operation with the exact
-//! per-node logic of the in-process engine — so a distributed run is
-//! bit-identical to the threaded and sequential ones by construction.
+//! sides use. It owns the replicated `SimCore` of `ww_core::barrier`
+//! plus the optional shard, runs epochs over externally supplied wires
+//! (sockets, in the `ww-dist` crate), and applies every barrier
+//! operation through the same `SimCore::apply` as the in-process and
+//! sequential engines — so a distributed run is bit-identical to them
+//! by construction.
 //!
 //! Every participant derives the partition from the same
 //! `(tree, shard_hint)` pair via [`partition_subtrees`], which is a
 //! pure function — no partition data ever crosses the network.
 
-use crate::engine::{build_shard, run_shard, InLink, OutLink, Shared};
-use crate::ops::{self, SimCore, SingleStore};
+use crate::engine::{build_shard, run_shard, InLink, OutLink, Shard, Shared};
 use crate::partition::{partition_subtrees, Partition};
 use crate::transport::{LinkError, WireReceiver, WireSender};
 use std::time::Duration;
-use ww_core::packet::{PacketCounters, PacketSimConfig, PacketWorld};
-use ww_model::{DocId, LeafRemoval, ModelError, NodeId, Tree};
+use ww_core::barrier::{BarrierOps, ShardState, ShardStore, SimCore};
+use ww_core::packet::{BarrierOp, BarrierOutcome, PacketCounters, PacketSimConfig, PacketWorld};
+use ww_model::{ModelError, NodeId, Tree};
 use ww_net::TrafficLedger;
 use ww_sim::{SimQueue, SimTime};
 use ww_stats::ExactSum;
@@ -58,13 +59,7 @@ impl ShardHost {
         let world = PacketWorld::new(tree, mix, config);
         let partition = partition_subtrees(tree, shard_hint);
         ShardHost {
-            core: SimCore {
-                failed_up: vec![false; world.len()],
-                world,
-                partition,
-                horizon: SimTime::ZERO,
-                batch: None,
-            },
+            core: SimCore::new(world, partition),
             store: SingleStore {
                 id: usize::MAX,
                 shard: None,
@@ -121,13 +116,7 @@ impl ShardHost {
         }
         let shard = build_shard(&world, &partition, id, outs, ins, stall_timeout);
         ShardHost {
-            core: SimCore {
-                failed_up: vec![false; world.len()],
-                world,
-                partition,
-                horizon: SimTime::ZERO,
-                batch: None,
-            },
+            core: SimCore::new(world, partition),
             store: SingleStore {
                 id,
                 shard: Some(shard),
@@ -206,7 +195,8 @@ impl ShardHost {
     pub fn member_rates(&mut self, now: f64) -> Vec<f64> {
         match &mut self.store.shard {
             Some(shard) => shard
-                .states
+                .local
+                .nodes
                 .iter_mut()
                 .map(|state| ww_core::packet::sample_served_rate(state, now))
                 .collect(),
@@ -226,7 +216,7 @@ impl ShardHost {
     /// The held shard's traffic ledger (empty for a replica).
     pub fn ledger(&self) -> TrafficLedger {
         match &self.store.shard {
-            Some(shard) => shard.ledger.clone(),
+            Some(shard) => shard.local.ledger.clone(),
             None => TrafficLedger::new(),
         }
     }
@@ -234,7 +224,7 @@ impl ShardHost {
     /// The held shard's protocol counters (zero for a replica).
     pub fn counters(&self) -> PacketCounters {
         match &self.store.shard {
-            Some(shard) => shard.counters,
+            Some(shard) => shard.local.counters,
             None => PacketCounters::default(),
         }
     }
@@ -242,7 +232,7 @@ impl ShardHost {
     /// Events the held shard has processed so far.
     pub fn processed_events(&self) -> u64 {
         match &self.store.shard {
-            Some(shard) => shard.queue.processed(),
+            Some(shard) => shard.local.queue.processed(),
             None => 0,
         }
     }
@@ -269,105 +259,48 @@ impl ShardHost {
     pub fn link_failed(&self, node: NodeId) -> bool {
         self.core.failed_up[node.index()]
     }
+}
 
-    /// Fails the control link between `node` and its parent. Returns
-    /// `false` when already failed. Must be applied on **every**
-    /// participant at the same barrier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range or is the root.
-    pub fn fail_link(&mut self, node: NodeId) -> bool {
-        ops::fail_link(&mut self.core, node)
+/// Barrier mutations must be applied on **every** participant of a
+/// distributed run, in the same order and with the same batches, so
+/// their replicated state stays bit-identical.
+impl BarrierOps for ShardHost {
+    type Error = ModelError;
+
+    fn apply_op(&mut self, op: &BarrierOp) -> Result<BarrierOutcome, ModelError> {
+        self.core.apply(&mut self.store, op)
     }
 
-    /// Restores the control link between `node` and its parent. Returns
-    /// `false` when the link was not failed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range or is the root.
-    pub fn heal_link(&mut self, node: NodeId) -> bool {
-        ops::heal_link(&mut self.core, node)
+    fn begin_batch(&mut self) -> Result<(), ModelError> {
+        self.core.begin_batch();
+        Ok(())
     }
 
-    /// Invalidates every cached copy of `doc` outside the home server —
-    /// the barrier-replicated twin of
-    /// [`ParPacketSim::invalidate`](crate::ParPacketSim::invalidate).
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::UnknownDocument`] when `doc` is outside the
-    /// simulated universe.
-    pub fn invalidate(&mut self, doc: DocId) -> Result<(), ModelError> {
-        ops::invalidate(&mut self.core, &mut self.store, doc)
+    fn commit_batch(&mut self) -> Result<(), ModelError> {
+        self.core.commit_batch(&mut self.store);
+        Ok(())
+    }
+}
+
+/// A store holding at most one shard — a distributed worker (exactly
+/// one) or the coordinator's replica (none).
+#[derive(Debug)]
+struct SingleStore {
+    id: usize,
+    shard: Option<Shard>,
+}
+
+impl ShardStore for SingleStore {
+    fn shard_mut(&mut self, id: usize) -> Option<&mut ShardState> {
+        match &mut self.shard {
+            Some(shard) if id == self.id => Some(&mut shard.local),
+            _ => None,
+        }
     }
 
-    /// A cache server joins as a new leaf under `parent` at the current
-    /// barrier — the barrier-replicated twin of
-    /// [`ParPacketSim::add_leaf`](crate::ParPacketSim::add_leaf).
-    ///
-    /// # Errors
-    ///
-    /// As [`PacketWorld::join`]: unknown parent or invalid rate.
-    pub fn add_leaf(&mut self, parent: NodeId, rate: f64) -> Result<NodeId, ModelError> {
-        ops::add_leaf(&mut self.core, &mut self.store, parent, rate)
-    }
-
-    /// A leaf cache server departs at the current barrier — the
-    /// barrier-replicated twin of
-    /// [`ParPacketSim::remove_leaf`](crate::ParPacketSim::remove_leaf).
-    ///
-    /// # Errors
-    ///
-    /// As [`PacketWorld::leave`]: unknown id, the root, or an interior
-    /// node.
-    pub fn remove_leaf(&mut self, node: NodeId) -> Result<LeafRemoval, ModelError> {
-        ops::remove_leaf(&mut self.core, &mut self.store, node)
-    }
-
-    /// Publishes a document at the current barrier — the
-    /// barrier-replicated twin of
-    /// [`ParPacketSim::publish_doc`](crate::ParPacketSim::publish_doc).
-    ///
-    /// # Errors
-    ///
-    /// As [`PacketWorld::publish`]: unknown origin or invalid rate.
-    pub fn publish_doc(&mut self, doc: DocId, origin: NodeId, rate: f64) -> Result<(), ModelError> {
-        ops::publish_doc(&mut self.core, &mut self.store, doc, origin, rate)
-    }
-
-    /// Replaces the whole demand mix at the current barrier — the
-    /// barrier-replicated twin of
-    /// [`ParPacketSim::set_mix`](crate::ParPacketSim::set_mix).
-    ///
-    /// # Errors
-    ///
-    /// As [`PacketWorld::set_mix`]: a mix not covering the current tree.
-    pub fn set_mix(&mut self, mix: &DocMix) -> Result<(), ModelError> {
-        ops::set_mix(&mut self.core, &mut self.store, mix)
-    }
-
-    /// Opens a barrier batch — the barrier-replicated twin of
-    /// [`ParPacketSim::begin_batch`](crate::ParPacketSim::begin_batch).
-    /// Every participant of a distributed run opens and commits the same
-    /// batch so their replicated state stays bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a batch is already open.
-    pub fn begin_batch(&mut self) {
-        ops::begin_batch(&mut self.core);
-    }
-
-    /// Closes the batch: one deferred oracle refresh, one composed
-    /// queue-surgery sweep over the held shard (if any), one arrival
-    /// re-resolution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no batch is open.
-    pub fn commit_batch(&mut self) {
-        ops::commit_batch(&mut self.core, &mut self.store);
+    fn for_each(&mut self, f: &mut dyn FnMut(&mut ShardState)) {
+        if let Some(shard) = &mut self.shard {
+            f(&mut shard.local);
+        }
     }
 }

@@ -1,341 +1,15 @@
-//! Barrier-time operations over a partitioned packet world, generic in
-//! **which shards the caller actually holds**.
-//!
-//! The in-process simulator owns every shard; a distributed worker owns
-//! exactly one; the distributed coordinator owns none (it keeps a world
-//! replica purely to mirror barrier mutations and serve metadata). All
-//! three must apply the *same* barrier mutation — churn, publish, shift,
-//! link failure — and end with bit-identical state for the shards they
-//! do hold. That works because every per-node step of every operation
-//! touches only that node's own shard: skipping nodes whose shard the
-//! caller does not hold cannot perturb the shards it does. The shared
-//! bookkeeping (world, partition, failed-up map) is replicated
-//! everywhere and mutated identically — it is a pure function of the
-//! operation's arguments.
-//!
-//! The one exception is [`apply_rebalance`], which by design moves
-//! state *between* shards: it needs both ends of every migration, so
-//! it runs only in-process, over every shard — never on a single-shard
+//! Shard migration: the one barrier mutation that moves state
+//! *between* shards. Every other mutation (churn, publish, mix shift,
+//! link failure, invalidation) touches each node on its own shard and
+//! lives in `ww_core::barrier`, shared with the sequential driver;
+//! [`apply_rebalance`] needs both ends of every migration, so it runs
+//! only in-process, over every shard — never on a single-shard
 //! distributed worker.
-//!
-//! [`SimCore`] carries that replicated bookkeeping; [`ShardStore`]
-//! abstracts shard ownership.
 
 use crate::engine::Shard;
-use crate::partition::Partition;
-use ww_core::packet::{self, NodeState, PacketEvent, PacketWorld, SurgeryStep, UniverseGrowth};
-use ww_model::{DocId, LeafRemoval, ModelError, NodeId};
-use ww_net::TrafficClass;
+use ww_core::barrier::SimCore;
+use ww_core::packet::PacketEvent;
 use ww_sim::{SimQueue, SimTime};
-
-/// The replicated, shard-independent half of a partitioned simulation:
-/// the shared world, the node→shard partition, the failed-link map, and
-/// the barrier horizon. Identical on every participant of a run.
-#[derive(Debug)]
-pub(crate) struct SimCore {
-    pub(crate) world: PacketWorld,
-    pub(crate) partition: Partition,
-    pub(crate) failed_up: Vec<bool>,
-    /// Simulated time the run has reached (last barrier).
-    pub(crate) horizon: SimTime,
-    /// Open barrier batch: accumulated queue-surgery steps (`None` when
-    /// applying unbatched). Replicated state like the rest of the core —
-    /// every participant of a distributed run opens and commits the same
-    /// batch.
-    pub(crate) batch: Option<Vec<SurgeryStep>>,
-}
-
-/// Shard ownership: which of the partition's shards this participant
-/// holds in memory. Operations skip nodes of shards `shard_mut` returns
-/// `None` for.
-pub(crate) trait ShardStore {
-    /// The shard with id `id`, if held.
-    fn shard_mut(&mut self, id: usize) -> Option<&mut Shard>;
-
-    /// Visits every held shard.
-    fn for_each(&mut self, f: &mut dyn FnMut(&mut Shard));
-}
-
-/// A store holding at most one shard — a distributed worker (exactly
-/// one) or the coordinator's replica (none).
-#[derive(Debug)]
-pub(crate) struct SingleStore {
-    pub(crate) id: usize,
-    pub(crate) shard: Option<Shard>,
-}
-
-impl ShardStore for SingleStore {
-    fn shard_mut(&mut self, id: usize) -> Option<&mut Shard> {
-        match &mut self.shard {
-            Some(shard) if id == self.id => Some(shard),
-            _ => None,
-        }
-    }
-
-    fn for_each(&mut self, f: &mut dyn FnMut(&mut Shard)) {
-        if let Some(shard) = &mut self.shard {
-            f(shard);
-        }
-    }
-}
-
-/// The state of node `j`, when its shard is held.
-fn state_mut<'a>(
-    core: &SimCore,
-    store: &'a mut impl ShardStore,
-    j: usize,
-) -> Option<&'a mut NodeState> {
-    let s = core.partition.shard_of[j];
-    let li = core.partition.local_index[j] as usize;
-    store.shard_mut(s).map(|shard| &mut shard.states[li])
-}
-
-/// Fails the control link between `node` and its parent. Returns `false`
-/// when already failed.
-///
-/// # Panics
-///
-/// Panics if `node` is out of range or is the root.
-pub(crate) fn fail_link(core: &mut SimCore, node: NodeId) -> bool {
-    assert!(
-        core.world.tree.parent(node).is_some(),
-        "the root has no uplink to fail"
-    );
-    !std::mem::replace(&mut core.failed_up[node.index()], true)
-}
-
-/// Restores the control link between `node` and its parent. Returns
-/// `false` when the link was not failed.
-///
-/// # Panics
-///
-/// Panics if `node` is out of range or is the root.
-pub(crate) fn heal_link(core: &mut SimCore, node: NodeId) -> bool {
-    assert!(
-        core.world.tree.parent(node).is_some(),
-        "the root has no uplink to heal"
-    );
-    std::mem::replace(&mut core.failed_up[node.index()], false)
-}
-
-/// Invalidates every cached copy of `doc` outside the home server (one
-/// charged invalidation message per revoked copy).
-pub(crate) fn invalidate(
-    core: &mut SimCore,
-    store: &mut impl ShardStore,
-    doc: DocId,
-) -> Result<(), ModelError> {
-    let Some(k) = core.world.table.index_of(doc) else {
-        return Err(ModelError::UnknownDocument { doc: doc.value() });
-    };
-    let root = core.world.tree.root();
-    for j in 0..core.world.len() {
-        let node = NodeId::new(j);
-        if node == root {
-            continue;
-        }
-        let s = core.partition.shard_of[j];
-        let li = core.partition.local_index[j] as usize;
-        let Some(shard) = store.shard_mut(s) else {
-            continue;
-        };
-        if packet::invalidate_node(&mut shard.states[li], k) {
-            shard
-                .ledger
-                .record(TrafficClass::Gossip, 64, core.world.tree.depth(node) as u32);
-        }
-    }
-    Ok(())
-}
-
-/// Re-resolves the arrival stage after a barrier mutation, exactly as
-/// the sequential driver: per held shard, stale arrivals are dropped
-/// (surviving events' document indices remapped when the universe grew)
-/// and fresh first arrivals are scheduled in global node order — so each
-/// node's events keep the same relative order they get in the sequential
-/// queue.
-fn rebuild_arrivals(
-    core: &mut SimCore,
-    store: &mut impl ShardStore,
-    growth: Option<&UniverseGrowth>,
-) {
-    store.for_each(&mut |shard| {
-        shard
-            .queue
-            .filter_map_events(|ev| packet::remap_for_rebuild(ev, growth));
-    });
-    reschedule_arrivals(core, store);
-}
-
-/// The scheduling half of [`rebuild_arrivals`], for callers whose own
-/// queue surgery already dropped the stale arrivals (a leave's
-/// [`packet::renumber_for_leave`] pass).
-fn reschedule_arrivals(core: &mut SimCore, store: &mut impl ShardStore) {
-    let at = core.horizon;
-    let mut outbox = Vec::new();
-    for j in 0..core.world.len() {
-        let s = core.partition.shard_of[j];
-        let li = core.partition.local_index[j] as usize;
-        let Some(shard) = store.shard_mut(s) else {
-            continue;
-        };
-        packet::rebuild_node_arrivals(
-            &core.world,
-            &mut shard.states[li],
-            NodeId::new(j),
-            at,
-            &mut outbox,
-        );
-        for (t, ev) in outbox.drain(..) {
-            shard.queue.schedule(t, ev);
-        }
-    }
-}
-
-/// A cache server joins as a new leaf under `parent` at the current
-/// barrier. The newcomer is hosted by its parent's shard.
-pub(crate) fn add_leaf(
-    core: &mut SimCore,
-    store: &mut impl ShardStore,
-    parent: NodeId,
-    rate: f64,
-) -> Result<NodeId, ModelError> {
-    let at = core.horizon;
-    let id = core.world.join(parent, rate)?;
-    let i = id.index();
-    let ps = core.partition.shard_of[parent.index()];
-    let pli = core.partition.local_index[parent.index()] as usize;
-    let map = packet::join_slot_map(core.world.tree.children(parent).len() - 1);
-    if let Some(shard) = store.shard_mut(ps) {
-        packet::remap_children(&mut shard.states[pli], &map, at.as_secs());
-    }
-    let li = core.partition.add_node(ps);
-    if let Some(shard) = store.shard_mut(ps) {
-        debug_assert_eq!(li, shard.states.len());
-        shard
-            .states
-            .push(packet::init_state_at(&core.world, id, at.as_secs()));
-        shard.window_events.push(0);
-    }
-    core.failed_up.push(false);
-    if let Some(steps) = &mut core.batch {
-        steps.push(SurgeryStep::Rebuild(None));
-    } else {
-        rebuild_arrivals(core, store, None);
-    }
-    if let Some(shard) = store.shard_mut(ps) {
-        assert_eq!(shard.gossip_ring.add_member(), li);
-        assert_eq!(shard.diffusion_ring.add_member(), li);
-        let gossip_seq = shard.queue.alloc_seq();
-        shard
-            .gossip_ring
-            .insert(li, at + core.world.gossip_phase(i), gossip_seq);
-        let diffusion_seq = shard.queue.alloc_seq();
-        shard
-            .diffusion_ring
-            .insert(li, at + core.world.diffusion_phase(i), diffusion_seq);
-    }
-    Ok(id)
-}
-
-/// A leaf cache server departs at the current barrier. Ids compact by
-/// swap-remove; the renumbered former-last node stays on its own shard,
-/// so the compaction is a pure bookkeeping move — no node state crosses
-/// a shard boundary.
-pub(crate) fn remove_leaf(
-    core: &mut SimCore,
-    store: &mut impl ShardStore,
-    node: NodeId,
-) -> Result<LeafRemoval, ModelError> {
-    let at = core.horizon;
-    let old_child_slot = core.world.child_slot.clone();
-    let removal = core.world.leave(node)?;
-    let r = removal.removed.index();
-    let (s, li) = core.partition.swap_remove_node(r);
-    if let Some(shard) = store.shard_mut(s) {
-        shard.states.swap_remove(li);
-        shard.gossip_ring.swap_remove_member(li);
-        shard.diffusion_ring.swap_remove_member(li);
-        shard.window_events.swap_remove(li);
-    }
-    core.failed_up.swap_remove(r);
-    if let Some(steps) = &mut core.batch {
-        steps.push(SurgeryStep::Leave {
-            removed: removal.removed,
-            moved: removal.moved,
-        });
-    } else {
-        store.for_each(&mut |shard| {
-            shard.queue.filter_map_events(|ev| {
-                packet::renumber_for_leave(ev, removal.removed, removal.moved)
-            });
-        });
-    }
-    for p in packet::parents_to_remap(&core.world.tree, &removal) {
-        let map = packet::child_slot_map(
-            &core.world.tree,
-            p,
-            removal.removed,
-            removal.moved,
-            &old_child_slot,
-        );
-        if let Some(state) = state_mut(core, store, p.index()) {
-            packet::remap_children(state, &map, at.as_secs());
-        }
-    }
-    // The renumbering pass above already dropped the stale arrivals;
-    // only the rescheduling half remains (deferred while batched).
-    if core.batch.is_none() {
-        reschedule_arrivals(core, store);
-    }
-    Ok(removal)
-}
-
-/// Applies a universe growth to every held node's per-document state
-/// (the home server also receives the only copy of each new document),
-/// then re-resolves the arrival stage — the shared tail of every
-/// demand-changing barrier operation.
-fn apply_growth(core: &mut SimCore, store: &mut impl ShardStore, growth: Option<UniverseGrowth>) {
-    let at = core.horizon.as_secs();
-    if let Some(g) = &growth {
-        let root = core.world.tree.root();
-        for j in 0..core.world.len() {
-            let is_root = NodeId::new(j) == root;
-            if let Some(state) = state_mut(core, store, j) {
-                packet::grow_node_state(state, g, at, is_root);
-            }
-        }
-    }
-    if let Some(steps) = &mut core.batch {
-        steps.push(SurgeryStep::Rebuild(growth));
-    } else {
-        rebuild_arrivals(core, store, growth.as_ref());
-    }
-}
-
-/// Publishes a document at the current barrier.
-pub(crate) fn publish_doc(
-    core: &mut SimCore,
-    store: &mut impl ShardStore,
-    doc: DocId,
-    origin: NodeId,
-    rate: f64,
-) -> Result<(), ModelError> {
-    let growth = core.world.publish(doc, origin, rate)?;
-    apply_growth(core, store, growth);
-    Ok(())
-}
-
-/// Replaces the whole demand mix at the current barrier.
-pub(crate) fn set_mix(
-    core: &mut SimCore,
-    store: &mut impl ShardStore,
-    mix: &ww_workload::DocMix,
-) -> Result<(), ModelError> {
-    let growth = core.world.set_mix(mix)?;
-    apply_growth(core, store, growth);
-    Ok(())
-}
 
 /// Applies a rebalance plan at the current barrier: each migrating
 /// node's state, pending queue events, and pending timer fires move
@@ -365,7 +39,7 @@ pub(crate) fn apply_rebalance(
     plan: &crate::rebalance::RebalancePlan,
 ) {
     assert!(
-        core.batch.is_none(),
+        !core.batch_open(),
         "cannot rebalance inside an open barrier batch"
     );
     // A migrant's pending work, keyed for deterministic re-insertion.
@@ -392,6 +66,7 @@ pub(crate) fn apply_rebalance(
     donors.dedup();
     for &from in &donors {
         for (t, key, ev) in shards[from]
+            .local
             .queue
             .extract_events(|ev| bucket_of[ev.node().index()] != u32::MAX)
         {
@@ -404,7 +79,7 @@ pub(crate) fn apply_rebalance(
         let node = m.node.index();
         debug_assert_eq!(core.partition.shard_of[node], m.from, "stale plan");
         let old_li = core.partition.local_index[node] as usize;
-        let donor = &mut shards[m.from];
+        let donor = &mut shards[m.from].local;
         let mut carried: Vec<(SimTime, u64, Pending)> = buckets[i]
             .drain(..)
             .map(|(t, key, ev)| (t, key, Pending::Event(ev)))
@@ -425,18 +100,16 @@ pub(crate) fn apply_rebalance(
         // content-derived inbound keys), so they are unique and
         // (time, key) is the donor's delivery order.
         carried.sort_unstable_by_key(|&(at, key, _)| (at, key));
-        let state = donor.states.swap_remove(old_li);
+        let state = donor.nodes.swap_remove(old_li);
         donor.gossip_ring.swap_remove_member(old_li);
         donor.diffusion_ring.swap_remove_member(old_li);
-        donor.window_events.swap_remove(old_li);
         let (from, li, new_li) = core.partition.move_node(node, m.to);
         debug_assert_eq!((from, li), (m.from, old_li));
-        let shard = &mut shards[m.to];
-        debug_assert_eq!(new_li, shard.states.len());
-        shard.states.push(state);
+        let shard = &mut shards[m.to].local;
+        debug_assert_eq!(new_li, shard.nodes.len());
+        shard.nodes.push(state);
         assert_eq!(shard.gossip_ring.add_member(), new_li);
         assert_eq!(shard.diffusion_ring.add_member(), new_li);
-        shard.window_events.push(0);
         for (t, _key, item) in carried {
             match item {
                 Pending::Event(ev) => shard.queue.schedule(t, ev),
@@ -450,38 +123,5 @@ pub(crate) fn apply_rebalance(
                 }
             }
         }
-    }
-}
-
-/// Opens a barrier batch on this participant: subsequent operations
-/// apply their primary mutations eagerly but defer the oracle refresh,
-/// queue surgery, and arrival re-resolution to [`commit_batch`].
-///
-/// # Panics
-///
-/// Panics if a batch is already open.
-pub(crate) fn begin_batch(core: &mut SimCore) {
-    assert!(core.batch.is_none(), "a barrier batch is already open");
-    core.world.begin_batch();
-    core.batch = Some(Vec::new());
-}
-
-/// Closes the batch: one deferred oracle refresh, one composed
-/// queue-surgery sweep over every held shard, one arrival re-resolution
-/// in global node order — bit-identical to unbatched application.
-///
-/// # Panics
-///
-/// Panics if no batch is open.
-pub(crate) fn commit_batch(core: &mut SimCore, store: &mut impl ShardStore) {
-    let steps = core.batch.take().expect("no open barrier batch");
-    core.world.end_batch();
-    if !steps.is_empty() {
-        store.for_each(&mut |shard| {
-            shard
-                .queue
-                .filter_map_events(|ev| packet::apply_surgery(ev, &steps));
-        });
-        reschedule_arrivals(core, store);
     }
 }

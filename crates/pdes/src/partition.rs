@@ -13,143 +13,15 @@
 //! ([`rebalance_plan`](crate::rebalance_plan)) packs with observed event
 //! counts. The packer is a pure function of `(tree, shard count,
 //! weights)` — no randomness, no iteration-order dependence — so every
-//! run of a given scenario shards identically.
+//! run of a given scenario shards identically. The [`Partition`] map it
+//! produces lives in `ww-core`, next to the barrier mutations that keep
+//! it current under churn.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use ww_model::{NodeId, Tree};
 
-/// A partition of the tree's nodes into shards.
-#[derive(Debug, Clone)]
-pub struct Partition {
-    /// Shard of every node.
-    pub shard_of: Vec<usize>,
-    /// Index of every node within its shard's `members` list.
-    pub local_index: Vec<u32>,
-    /// Nodes of each shard. Freshly packed partitions list members in
-    /// ascending node-id order; churn and migration compact by
-    /// swap-remove and append at the back, so the order is merely
-    /// *deterministic*, not sorted — no consumer may rely on sortedness.
-    pub members: Vec<Vec<NodeId>>,
-}
-
-impl Partition {
-    /// Number of shards (≥ 1; at most the requested count).
-    pub fn shards(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Registers a node joining the simulated world: the newcomer takes
-    /// the next global id and the last local slot of `shard` (the engines
-    /// pass its parent's shard, so the join opens no new cut pair).
-    /// Returns the local index. The caller appends the matching entries to the
-    /// shard's state vector and timer rings.
-    pub fn add_node(&mut self, shard: usize) -> usize {
-        let id = self.shard_of.len();
-        let li = self.members[shard].len();
-        self.shard_of.push(shard);
-        self.local_index.push(li as u32);
-        self.members[shard].push(NodeId::new(id));
-        li
-    }
-
-    /// Registers a node leaving: global ids compact by swap-remove (the
-    /// former last id renumbers into `node`, staying on its own shard —
-    /// no state crosses a shard boundary), and the hosting shard's
-    /// member list compacts the same way. Returns the departed node's
-    /// `(shard, local index)`; the caller must apply the identical
-    /// swap-remove to that shard's state vector and timer rings.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn swap_remove_node(&mut self, node: usize) -> (usize, usize) {
-        let s = self.shard_of[node];
-        let li = self.local_index[node] as usize;
-        self.members[s].swap_remove(li);
-        if let Some(&w) = self.members[s].get(li) {
-            self.local_index[w.index()] = li as u32;
-        }
-        self.shard_of.swap_remove(node);
-        self.local_index.swap_remove(node);
-        if node < self.shard_of.len() {
-            // The renumbered former-last id: rewrite its member entry.
-            let ms = self.shard_of[node];
-            let mli = self.local_index[node] as usize;
-            self.members[ms][mli] = NodeId::new(node);
-        }
-        (s, li)
-    }
-
-    /// Moves `node` to shard `to`, compacting the donor's member list
-    /// by swap-remove and appending to the recipient's. Returns
-    /// `(donor shard, donor local index, recipient local index)`; the
-    /// caller must apply the identical swap-remove/push to the two
-    /// shards' state vectors and timer rings. Any node may live on any
-    /// shard — lookahead holds for every cut — so a move is pure
-    /// bookkeeping; the caller re-dials wires for the new cut pairs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` or `to` is out of range, or if `node` already
-    /// lives on shard `to` (a no-op migration is a planner bug).
-    pub fn move_node(&mut self, node: usize, to: usize) -> (usize, usize, usize) {
-        assert!(node < self.shard_of.len(), "node out of range");
-        assert!(to < self.members.len(), "shard out of range");
-        let from = self.shard_of[node];
-        assert_ne!(from, to, "no-op migration for node {node}");
-        let li = self.local_index[node] as usize;
-        self.members[from].swap_remove(li);
-        if let Some(&w) = self.members[from].get(li) {
-            self.local_index[w.index()] = li as u32;
-        }
-        let new_li = self.members[to].len();
-        self.members[to].push(NodeId::new(node));
-        self.shard_of[node] = to;
-        self.local_index[node] = new_li as u32;
-        (from, li, new_li)
-    }
-
-    /// Sums `node_events` (one count per global node id) into the
-    /// per-shard load summary rebalancing decisions are made from.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node_events` is shorter than the node count.
-    pub fn load_summary(&self, node_events: &[u64]) -> crate::rebalance::LoadSummary {
-        assert!(node_events.len() >= self.shard_of.len(), "count per node");
-        let mut shard_events = vec![0u64; self.shards()];
-        for (u, &s) in self.shard_of.iter().enumerate() {
-            shard_events[s] += node_events[u];
-        }
-        crate::rebalance::LoadSummary { shard_events }
-    }
-
-    /// The ordered list of shard pairs connected by at least one tree
-    /// edge, as `(child_side_shard, parent_side_shard)` — each listed
-    /// once per unordered pair per direction of the underlying edges.
-    pub fn cut_pairs(&self, tree: &Tree) -> Vec<(usize, usize)> {
-        let mut pairs = Vec::new();
-        for u in tree.nodes() {
-            if let Some(p) = tree.parent(u) {
-                let (a, b) = (self.shard_of[u.index()], self.shard_of[p.index()]);
-                if a != b {
-                    // Traffic crosses every cut edge in both directions
-                    // (requests climb, gossip and copies descend), so both
-                    // directed pairs carry a channel.
-                    if !pairs.contains(&(a, b)) {
-                        pairs.push((a, b));
-                    }
-                    if !pairs.contains(&(b, a)) {
-                        pairs.push((b, a));
-                    }
-                }
-            }
-        }
-        pairs.sort_unstable();
-        pairs
-    }
-}
+pub use ww_core::barrier::Partition;
 
 /// Splits `tree` into at most `max_shards` shards of roughly equal
 /// node count: the weighted packer with weight 1 per node. Always yields at least

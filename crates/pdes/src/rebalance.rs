@@ -50,6 +50,24 @@ pub struct LoadSummary {
 }
 
 impl LoadSummary {
+    /// Sums `node_events` (one count per global node id) into the
+    /// per-shard load of `partition`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node_events` is shorter than the node count.
+    pub fn of(partition: &Partition, node_events: &[u64]) -> Self {
+        assert!(
+            node_events.len() >= partition.shard_of.len(),
+            "count per node"
+        );
+        let mut shard_events = vec![0u64; partition.shards()];
+        for (u, &s) in partition.shard_of.iter().enumerate() {
+            shard_events[s] += node_events[u];
+        }
+        LoadSummary { shard_events }
+    }
+
     /// Total events across all shards.
     pub fn total(&self) -> u64 {
         self.shard_events.iter().sum()
@@ -126,7 +144,7 @@ pub fn rebalance_plan(tree: &Tree, partition: &Partition, node_events: &[u64]) -
     assert!(node_events.len() >= n, "one event count per node");
     assert_eq!(partition.shard_of.len(), n, "partition covers the tree");
     let shards = partition.shards();
-    let before = partition.load_summary(node_events);
+    let before = LoadSummary::of(partition, node_events);
     let imbalance_before = before.imbalance();
     if shards < 2 || before.total() == 0 {
         return RebalancePlan::noop(imbalance_before);
@@ -147,7 +165,7 @@ pub fn rebalance_plan(tree: &Tree, partition: &Partition, node_events: &[u64]) -
             to: packed.shard_of[u],
         })
         .collect();
-    let predicted = packed.load_summary(node_events).imbalance();
+    let predicted = LoadSummary::of(&packed, node_events).imbalance();
     // Hysteresis against thrash: only migrate for a strict improvement.
     if moves.is_empty() || predicted >= imbalance_before {
         return RebalancePlan::noop(imbalance_before);
@@ -247,7 +265,7 @@ mod tests {
                 for m in &plan.moves {
                     p.move_node(m.node.index(), m.to);
                 }
-                let realised = p.load_summary(&load).imbalance();
+                let realised = LoadSummary::of(&p, &load).imbalance();
                 prop_assert!((realised - plan.predicted_imbalance).abs() < 1e-12);
                 let again = rebalance_plan(&tree, &p, &load);
                 prop_assert!(again.is_empty(), "replanning after apply moved {} nodes", again.moves.len());
@@ -328,7 +346,7 @@ mod tests {
         let tree = ww_topology::path(6);
         let p = partition_subtrees(&tree, 2);
         let load: Vec<u64> = (0..6).collect();
-        let summary = p.load_summary(&load);
+        let summary = LoadSummary::of(&p, &load);
         assert_eq!(summary.total(), 15);
         assert_eq!(summary.shard_events.len(), 2);
         assert!(summary.imbalance() >= 1.0);

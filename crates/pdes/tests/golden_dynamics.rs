@@ -8,10 +8,10 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use ww_core::barrier::BarrierOps;
 use ww_core::packet::BarrierOp;
 use ww_core::packetsim::{PacketSim, PacketSimConfig, PacketSimReport};
-use ww_model::{DocId, NodeId, Tree};
-use ww_net::TrafficClass;
+use ww_model::{DocId, ModelError, NodeId, Tree};
 use ww_pdes::ParPacketSim;
 use ww_topology::paper;
 use ww_workload::DocMix;
@@ -39,50 +39,8 @@ fn bits(xs: &[f64]) -> Vec<u64> {
 }
 
 fn assert_reports_identical(a: &PacketSimReport, b: &PacketSimReport, label: &str) {
-    assert_eq!(
-        bits(a.trace.distances()),
-        bits(b.trace.distances()),
-        "{label}: traces diverge"
-    );
-    assert_eq!(
-        bits(a.served_rates.as_slice()),
-        bits(b.served_rates.as_slice()),
-        "{label}: served rates diverge"
-    );
-    assert_eq!(
-        a.final_distance.to_bits(),
-        b.final_distance.to_bits(),
-        "{label}: final distance diverges"
-    );
-    assert_eq!(a.served_requests, b.served_requests, "{label}: served");
-    assert_eq!(
-        a.processed_events, b.processed_events,
-        "{label}: processed events"
-    );
-    assert_eq!(a.copy_pushes, b.copy_pushes, "{label}: pushes");
-    assert_eq!(a.tunnel_fetches, b.tunnel_fetches, "{label}: fetches");
-    assert_eq!(
-        a.mean_hops.to_bits(),
-        b.mean_hops.to_bits(),
-        "{label}: mean hops"
-    );
-    for class in [
-        TrafficClass::Request,
-        TrafficClass::Response,
-        TrafficClass::Gossip,
-        TrafficClass::CopyPush,
-        TrafficClass::Tunnel,
-    ] {
-        assert_eq!(
-            a.ledger.count(class),
-            b.ledger.count(class),
-            "{label}: {class:?} count"
-        );
-        assert_eq!(
-            a.ledger.bytes(class),
-            b.ledger.bytes(class),
-            "{label}: {class:?} bytes"
-        );
+    if let Some(diff) = a.first_difference(b) {
+        panic!("{label}: {diff}");
     }
 }
 
@@ -100,16 +58,9 @@ enum Op {
 }
 
 /// Replays the script against either driver through a tiny trait shim.
-trait Driver {
+trait Driver: BarrierOps<Error = ModelError> {
     fn run(&mut self, horizon: f64) -> PacketSimReport;
     fn tree(&self) -> &Tree;
-    fn add_leaf(&mut self, parent: NodeId, rate: f64);
-    fn remove_leaf(&mut self, node: NodeId);
-    fn set_mix(&mut self, mix: &DocMix);
-    fn publish_doc(&mut self, doc: DocId, origin: NodeId, rate: f64);
-    fn invalidate(&mut self, doc: DocId);
-    fn fail_link(&mut self, node: NodeId);
-    fn heal_link(&mut self, node: NodeId);
 }
 
 impl Driver for PacketSim {
@@ -118,27 +69,6 @@ impl Driver for PacketSim {
     }
     fn tree(&self) -> &Tree {
         PacketSim::tree(self)
-    }
-    fn add_leaf(&mut self, parent: NodeId, rate: f64) {
-        PacketSim::add_leaf(self, parent, rate).expect("join applies");
-    }
-    fn remove_leaf(&mut self, node: NodeId) {
-        PacketSim::remove_leaf(self, node).expect("leave applies");
-    }
-    fn set_mix(&mut self, mix: &DocMix) {
-        PacketSim::set_mix(self, mix).expect("shift applies");
-    }
-    fn publish_doc(&mut self, doc: DocId, origin: NodeId, rate: f64) {
-        PacketSim::publish_doc(self, doc, origin, rate).expect("publish applies");
-    }
-    fn invalidate(&mut self, doc: DocId) {
-        PacketSim::invalidate(self, doc).expect("invalidate applies");
-    }
-    fn fail_link(&mut self, node: NodeId) {
-        PacketSim::fail_link(self, node);
-    }
-    fn heal_link(&mut self, node: NodeId) {
-        PacketSim::heal_link(self, node);
     }
 }
 
@@ -149,50 +79,45 @@ impl Driver for ParPacketSim {
     fn tree(&self) -> &Tree {
         ParPacketSim::tree(self)
     }
-    fn add_leaf(&mut self, parent: NodeId, rate: f64) {
-        ParPacketSim::add_leaf(self, parent, rate).expect("join applies");
-    }
-    fn remove_leaf(&mut self, node: NodeId) {
-        ParPacketSim::remove_leaf(self, node).expect("leave applies");
-    }
-    fn set_mix(&mut self, mix: &DocMix) {
-        ParPacketSim::set_mix(self, mix).expect("shift applies");
-    }
-    fn publish_doc(&mut self, doc: DocId, origin: NodeId, rate: f64) {
-        ParPacketSim::publish_doc(self, doc, origin, rate).expect("publish applies");
-    }
-    fn invalidate(&mut self, doc: DocId) {
-        ParPacketSim::invalidate(self, doc).expect("invalidate applies");
-    }
-    fn fail_link(&mut self, node: NodeId) {
-        ParPacketSim::fail_link(self, node);
-    }
-    fn heal_link(&mut self, node: NodeId) {
-        ParPacketSim::heal_link(self, node);
-    }
 }
 
-fn replay(driver: &mut dyn Driver, script: &[Op]) -> PacketSimReport {
+fn replay(driver: &mut impl Driver, script: &[Op]) -> PacketSimReport {
     let mut report = None;
     for op in script {
         match *op {
             Op::Run(h) => report = Some(driver.run(h)),
-            Op::Join { parent, rate } => driver.add_leaf(NodeId::new(parent), rate),
-            Op::Leave { node } => driver.remove_leaf(NodeId::new(node)),
+            Op::Join { parent, rate } => {
+                driver
+                    .add_leaf(NodeId::new(parent), rate)
+                    .expect("join applies");
+            }
+            Op::Leave { node } => {
+                driver
+                    .remove_leaf(NodeId::new(node))
+                    .expect("leave applies");
+            }
             Op::Shift { docs, theta } => {
                 // Re-derive a shifted mix from the *current* (churned)
                 // tree: same spontaneous totals, new document split.
                 let tree = driver.tree().clone();
                 let rates = ww_workload::uniform(&tree, 15.0);
                 let mix = ww_workload::shared_zipf_mix(&tree, &rates, docs, theta);
-                driver.set_mix(&mix);
+                driver.set_mix(&mix).expect("shift applies");
             }
             Op::Publish { doc, origin, rate } => {
-                driver.publish_doc(DocId::new(doc), NodeId::new(origin), rate);
+                driver
+                    .publish_doc(DocId::new(doc), NodeId::new(origin), rate)
+                    .expect("publish applies");
             }
-            Op::Invalidate { doc } => driver.invalidate(DocId::new(doc)),
-            Op::Fail { node } => driver.fail_link(NodeId::new(node)),
-            Op::Heal { node } => driver.heal_link(NodeId::new(node)),
+            Op::Invalidate { doc } => driver
+                .invalidate(DocId::new(doc))
+                .expect("invalidate applies"),
+            Op::Fail { node } => {
+                driver.fail_link(NodeId::new(node)).expect("fail applies");
+            }
+            Op::Heal { node } => {
+                driver.heal_link(NodeId::new(node)).expect("heal applies");
+            }
         }
     }
     report.expect("script ends with a run")
@@ -332,8 +257,8 @@ fn fig7_churn_storm_matches_sequential() {
 /// A K-event same-barrier churn storm over the fig7 topology: two
 /// joins, a leave (with swap-remove renumbering), a publish, a
 /// fail/heal pair, and an invalidate, all at one epoch boundary.
-/// Structural effects apply eagerly in both the batched and the
-/// one-at-a-time paths, so later ops see the same renumbered ids.
+/// Structural effects apply eagerly whether the ops share one batch or
+/// each run as a batch of one, so later ops see the same renumbered ids.
 fn storm_ops() -> Vec<BarrierOp> {
     vec![
         BarrierOp::AddLeaf {
@@ -366,7 +291,7 @@ fn storm_ops() -> Vec<BarrierOp> {
 fn same_barrier_storm_batched_matches_unbatched_at_every_worker_count() {
     // The batched-apply pin: a whole-barrier `apply_all` (one oracle
     // refresh, one composed queue-surgery pass, one arrival
-    // re-resolution) must replay one-at-a-time application bit for bit,
+    // re-resolution) must replay K batches of one bit for bit,
     // sequentially and at every worker count.
     let (tree, mix) = fig7_mix();
     let config = PacketSimConfig::default();
@@ -386,7 +311,7 @@ fn same_barrier_storm_batched_matches_unbatched_at_every_worker_count() {
 
     let mut batched = PacketSim::new(&tree, &mix, config);
     batched.run(3.0);
-    for r in batched.apply_all(&ops) {
+    for r in batched.apply_all(&ops).expect("batch opens") {
         r.expect("storm op applies");
     }
     let b = batched.run(9.0);
@@ -403,7 +328,7 @@ fn same_barrier_storm_batched_matches_unbatched_at_every_worker_count() {
 
         let mut par = ParPacketSim::new(&tree, &mix, config, workers);
         par.run(3.0);
-        for r in par.apply_all(&ops) {
+        for r in par.apply_all(&ops).expect("batch opens") {
             r.expect("storm op applies");
         }
         let d = par.run(9.0);
@@ -414,8 +339,8 @@ fn same_barrier_storm_batched_matches_unbatched_at_every_worker_count() {
 #[test]
 fn rejected_op_mid_batch_leaves_survivors_identical() {
     // Ops validate eagerly inside a batch: a rejected op is skipped and
-    // the rest of the barrier applies, exactly as in one-at-a-time
-    // application — same per-op verdicts, same state afterwards.
+    // the rest of the barrier applies, exactly as when each op runs as
+    // a batch of one — same per-op verdicts, same state afterwards.
     let (tree, mix) = fig7_mix();
     let config = PacketSimConfig::default();
     let ops = vec![
@@ -443,7 +368,12 @@ fn rejected_op_mid_batch_leaves_survivors_identical() {
 
     let mut batched = PacketSim::new(&tree, &mix, config);
     batched.run(2.0);
-    let verdicts_b: Vec<bool> = batched.apply_all(&ops).iter().map(|r| r.is_ok()).collect();
+    let verdicts_b: Vec<bool> = batched
+        .apply_all(&ops)
+        .expect("batch opens")
+        .iter()
+        .map(|r| r.is_ok())
+        .collect();
     let b = batched.run(8.0);
 
     assert_eq!(verdicts_a, vec![true, false, true]);

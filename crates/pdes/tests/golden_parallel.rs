@@ -4,9 +4,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use ww_core::barrier::BarrierOps;
 use ww_core::packetsim::{PacketSim, PacketSimConfig, PacketSimReport};
 use ww_model::{DocId, NodeId, Tree};
-use ww_net::TrafficClass;
 use ww_pdes::ParPacketSim;
 use ww_topology::paper;
 use ww_workload::DocMix;
@@ -30,55 +30,9 @@ fn random_mix(seed: u64) -> (Tree, DocMix) {
     (tree, mix)
 }
 
-fn bits(xs: &[f64]) -> Vec<u64> {
-    xs.iter().map(|x| x.to_bits()).collect()
-}
-
 fn assert_reports_identical(a: &PacketSimReport, b: &PacketSimReport, label: &str) {
-    assert_eq!(
-        bits(a.trace.distances()),
-        bits(b.trace.distances()),
-        "{label}: traces diverge"
-    );
-    assert_eq!(
-        bits(a.served_rates.as_slice()),
-        bits(b.served_rates.as_slice()),
-        "{label}: served rates diverge"
-    );
-    assert_eq!(
-        a.final_distance.to_bits(),
-        b.final_distance.to_bits(),
-        "{label}: final distance diverges"
-    );
-    assert_eq!(a.served_requests, b.served_requests, "{label}: served");
-    assert_eq!(
-        a.processed_events, b.processed_events,
-        "{label}: processed events"
-    );
-    assert_eq!(a.copy_pushes, b.copy_pushes, "{label}: pushes");
-    assert_eq!(a.tunnel_fetches, b.tunnel_fetches, "{label}: fetches");
-    assert_eq!(
-        a.mean_hops.to_bits(),
-        b.mean_hops.to_bits(),
-        "{label}: mean hops"
-    );
-    for class in [
-        TrafficClass::Request,
-        TrafficClass::Response,
-        TrafficClass::Gossip,
-        TrafficClass::CopyPush,
-        TrafficClass::Tunnel,
-    ] {
-        assert_eq!(
-            a.ledger.count(class),
-            b.ledger.count(class),
-            "{label}: {class:?} count"
-        );
-        assert_eq!(
-            a.ledger.bytes(class),
-            b.ledger.bytes(class),
-            "{label}: {class:?} bytes"
-        );
+    if let Some(diff) = a.first_difference(b) {
+        panic!("{label}: {diff}");
     }
 }
 
@@ -164,17 +118,17 @@ fn link_failures_and_invalidation_match_sequential() {
 
     let mut seq = PacketSim::new(&tree, &mix, config);
     seq.run(6.0);
-    seq.fail_link(NodeId::new(2));
+    seq.fail_link(NodeId::new(2)).expect("fail applies");
     seq.run(12.0);
-    seq.heal_link(NodeId::new(2));
+    seq.heal_link(NodeId::new(2)).expect("heal applies");
     seq.invalidate(DocId::new(1)).unwrap();
     let a = seq.run(18.0);
 
     let mut par = ParPacketSim::new(&tree, &mix, config, 3);
     par.run(6.0);
-    par.fail_link(NodeId::new(2));
+    par.fail_link(NodeId::new(2)).expect("fail applies");
     par.run(12.0);
-    par.heal_link(NodeId::new(2));
+    par.heal_link(NodeId::new(2)).expect("heal applies");
     par.invalidate(DocId::new(1)).unwrap();
     let b = par.run(18.0);
 

@@ -8,9 +8,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use ww_core::barrier::BarrierOps;
 use ww_core::packetsim::{PacketSim, PacketSimConfig, PacketSimReport};
-use ww_model::{DocId, NodeId, Tree};
-use ww_net::TrafficClass;
+use ww_model::{DocId, ModelError, NodeId, Tree};
 use ww_pdes::{ParPacketSim, RebalanceConfig};
 use ww_telemetry::Level;
 use ww_workload::DocMix;
@@ -26,59 +26,13 @@ fn skewed_mix(seed: u64, nodes: usize) -> (Tree, DocMix) {
     (tree, mix)
 }
 
-fn bits(xs: &[f64]) -> Vec<u64> {
-    xs.iter().map(|x| x.to_bits()).collect()
-}
-
 /// Everything partition-independent must match bit for bit. The
 /// partition-*dependent* diagnostics (`shard_event_counts`, `imbalance`,
 /// `overflow_parks`) are deliberately not compared — they describe how
 /// the work was split, not what was simulated.
 fn assert_reports_identical(a: &PacketSimReport, b: &PacketSimReport, label: &str) {
-    assert_eq!(
-        bits(a.trace.distances()),
-        bits(b.trace.distances()),
-        "{label}: traces diverge"
-    );
-    assert_eq!(
-        bits(a.served_rates.as_slice()),
-        bits(b.served_rates.as_slice()),
-        "{label}: served rates diverge"
-    );
-    assert_eq!(
-        a.final_distance.to_bits(),
-        b.final_distance.to_bits(),
-        "{label}: final distance diverges"
-    );
-    assert_eq!(a.served_requests, b.served_requests, "{label}: served");
-    assert_eq!(
-        a.processed_events, b.processed_events,
-        "{label}: processed events"
-    );
-    assert_eq!(a.copy_pushes, b.copy_pushes, "{label}: pushes");
-    assert_eq!(a.tunnel_fetches, b.tunnel_fetches, "{label}: fetches");
-    assert_eq!(
-        a.mean_hops.to_bits(),
-        b.mean_hops.to_bits(),
-        "{label}: mean hops"
-    );
-    for class in [
-        TrafficClass::Request,
-        TrafficClass::Response,
-        TrafficClass::Gossip,
-        TrafficClass::CopyPush,
-        TrafficClass::Tunnel,
-    ] {
-        assert_eq!(
-            a.ledger.count(class),
-            b.ledger.count(class),
-            "{label}: {class:?} count"
-        );
-        assert_eq!(
-            a.ledger.bytes(class),
-            b.ledger.bytes(class),
-            "{label}: {class:?} bytes"
-        );
+    if let Some(diff) = a.first_difference(b) {
+        panic!("{label}: {diff}");
     }
 }
 
@@ -148,16 +102,9 @@ enum Op {
     Heal { node: usize },
 }
 
-trait Driver {
+trait Driver: BarrierOps<Error = ModelError> {
     fn run(&mut self, horizon: f64) -> PacketSimReport;
     fn tree(&self) -> &Tree;
-    fn add_leaf(&mut self, parent: NodeId, rate: f64);
-    fn remove_leaf(&mut self, node: NodeId);
-    fn set_mix(&mut self, mix: &DocMix);
-    fn publish_doc(&mut self, doc: DocId, origin: NodeId, rate: f64);
-    fn invalidate(&mut self, doc: DocId);
-    fn fail_link(&mut self, node: NodeId);
-    fn heal_link(&mut self, node: NodeId);
 }
 
 impl Driver for PacketSim {
@@ -166,27 +113,6 @@ impl Driver for PacketSim {
     }
     fn tree(&self) -> &Tree {
         PacketSim::tree(self)
-    }
-    fn add_leaf(&mut self, parent: NodeId, rate: f64) {
-        PacketSim::add_leaf(self, parent, rate).expect("join applies");
-    }
-    fn remove_leaf(&mut self, node: NodeId) {
-        PacketSim::remove_leaf(self, node).expect("leave applies");
-    }
-    fn set_mix(&mut self, mix: &DocMix) {
-        PacketSim::set_mix(self, mix).expect("shift applies");
-    }
-    fn publish_doc(&mut self, doc: DocId, origin: NodeId, rate: f64) {
-        PacketSim::publish_doc(self, doc, origin, rate).expect("publish applies");
-    }
-    fn invalidate(&mut self, doc: DocId) {
-        PacketSim::invalidate(self, doc).expect("invalidate applies");
-    }
-    fn fail_link(&mut self, node: NodeId) {
-        PacketSim::fail_link(self, node);
-    }
-    fn heal_link(&mut self, node: NodeId) {
-        PacketSim::heal_link(self, node);
     }
 }
 
@@ -197,48 +123,43 @@ impl Driver for ParPacketSim {
     fn tree(&self) -> &Tree {
         ParPacketSim::tree(self)
     }
-    fn add_leaf(&mut self, parent: NodeId, rate: f64) {
-        ParPacketSim::add_leaf(self, parent, rate).expect("join applies");
-    }
-    fn remove_leaf(&mut self, node: NodeId) {
-        ParPacketSim::remove_leaf(self, node).expect("leave applies");
-    }
-    fn set_mix(&mut self, mix: &DocMix) {
-        ParPacketSim::set_mix(self, mix).expect("shift applies");
-    }
-    fn publish_doc(&mut self, doc: DocId, origin: NodeId, rate: f64) {
-        ParPacketSim::publish_doc(self, doc, origin, rate).expect("publish applies");
-    }
-    fn invalidate(&mut self, doc: DocId) {
-        ParPacketSim::invalidate(self, doc).expect("invalidate applies");
-    }
-    fn fail_link(&mut self, node: NodeId) {
-        ParPacketSim::fail_link(self, node);
-    }
-    fn heal_link(&mut self, node: NodeId) {
-        ParPacketSim::heal_link(self, node);
-    }
 }
 
-fn replay(driver: &mut dyn Driver, script: &[Op]) -> PacketSimReport {
+fn replay(driver: &mut impl Driver, script: &[Op]) -> PacketSimReport {
     let mut report = None;
     for op in script {
         match *op {
             Op::Run(h) => report = Some(driver.run(h)),
-            Op::Join { parent, rate } => driver.add_leaf(NodeId::new(parent), rate),
-            Op::Leave { node } => driver.remove_leaf(NodeId::new(node)),
+            Op::Join { parent, rate } => {
+                driver
+                    .add_leaf(NodeId::new(parent), rate)
+                    .expect("join applies");
+            }
+            Op::Leave { node } => {
+                driver
+                    .remove_leaf(NodeId::new(node))
+                    .expect("leave applies");
+            }
             Op::Shift { docs, theta } => {
                 let tree = driver.tree().clone();
                 let rates = ww_workload::uniform(&tree, 15.0);
                 let mix = ww_workload::shared_zipf_mix(&tree, &rates, docs, theta);
-                driver.set_mix(&mix);
+                driver.set_mix(&mix).expect("shift applies");
             }
             Op::Publish { doc, origin, rate } => {
-                driver.publish_doc(DocId::new(doc), NodeId::new(origin), rate);
+                driver
+                    .publish_doc(DocId::new(doc), NodeId::new(origin), rate)
+                    .expect("publish applies");
             }
-            Op::Invalidate { doc } => driver.invalidate(DocId::new(doc)),
-            Op::Fail { node } => driver.fail_link(NodeId::new(node)),
-            Op::Heal { node } => driver.heal_link(NodeId::new(node)),
+            Op::Invalidate { doc } => driver
+                .invalidate(DocId::new(doc))
+                .expect("invalidate applies"),
+            Op::Fail { node } => {
+                driver.fail_link(NodeId::new(node)).expect("fail applies");
+            }
+            Op::Heal { node } => {
+                driver.heal_link(NodeId::new(node)).expect("heal applies");
+            }
         }
     }
     report.expect("script ends with a run")

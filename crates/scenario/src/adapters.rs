@@ -14,13 +14,14 @@ use crate::engine::{Engine, MetricSink, StepOutcome};
 use crate::events::{Event, EventError};
 use crate::spec::BaselineScheme;
 use ww_baselines::SchemeReport;
+use ww_core::barrier::BarrierOps;
 use ww_core::docsim::DocSim;
-use ww_core::packet::{BarrierOp, BarrierOutcome};
+use ww_core::packet::BarrierOp;
 use ww_core::packetsim::{PacketSim, PacketSimConfig, PacketSimReport};
 use ww_core::wave::RateWave;
 use ww_dist::{DistError, DistOptions, DistPacketSim};
 use ww_forest::ForestWave;
-use ww_model::{ModelError, NodeId, RateVector, Tree};
+use ww_model::{NodeId, RateVector, Tree};
 use ww_pdes::{ParPacketSim, RebalanceConfig};
 use ww_runtime::{run_cluster, ClusterConfig, ClusterReport};
 use ww_telemetry::{Level, Snapshot};
@@ -373,26 +374,21 @@ impl Engine for ForestWave {
 
 /// One packet-level simulator behind [`PacketEngine`]: the sequential
 /// [`PacketSim`], the sharded [`ParPacketSim`] or the distributed
-/// [`DistPacketSim`]. Each method forwards to the simulator's own
-/// method of the same name; all three report the same bits.
-pub(crate) trait PacketBackend {
+/// [`DistPacketSim`]. Barrier ops come through their shared
+/// [`BarrierOps`] surface; the rest forwards to each simulator's own
+/// method of the same name. All three report the same bits.
+pub(crate) trait PacketBackend: BarrierOps<Error: std::fmt::Display> {
     /// The engine kind, matching the spec spelling.
     const KIND: &'static str;
-    /// Why the simulator rejects a barrier operation.
-    type Error: std::fmt::Display;
     fn run(&mut self, duration: f64) -> PacketSimReport;
     fn oracle(&self) -> &RateVector;
     fn tree(&self) -> &Tree;
-    fn apply_op(&mut self, op: &BarrierOp) -> Result<BarrierOutcome, Self::Error>;
-    fn begin_batch(&mut self);
-    fn commit_batch(&mut self);
     fn set_telemetry(&mut self, level: Level);
     fn telemetry_snapshot(&self) -> Snapshot;
 }
 
 impl PacketBackend for PacketSim {
     const KIND: &'static str = "packet_sim";
-    type Error = ModelError;
 
     fn run(&mut self, duration: f64) -> PacketSimReport {
         PacketSim::run(self, duration)
@@ -406,18 +402,6 @@ impl PacketBackend for PacketSim {
         PacketSim::tree(self)
     }
 
-    fn apply_op(&mut self, op: &BarrierOp) -> Result<BarrierOutcome, ModelError> {
-        PacketSim::apply_op(self, op)
-    }
-
-    fn begin_batch(&mut self) {
-        PacketSim::begin_batch(self);
-    }
-
-    fn commit_batch(&mut self) {
-        PacketSim::commit_batch(self);
-    }
-
     fn set_telemetry(&mut self, level: Level) {
         PacketSim::set_telemetry(self, level);
     }
@@ -429,7 +413,6 @@ impl PacketBackend for PacketSim {
 
 impl PacketBackend for ParPacketSim {
     const KIND: &'static str = "packet_sim_par";
-    type Error = ModelError;
 
     fn run(&mut self, duration: f64) -> PacketSimReport {
         ParPacketSim::run(self, duration)
@@ -441,18 +424,6 @@ impl PacketBackend for ParPacketSim {
 
     fn tree(&self) -> &Tree {
         ParPacketSim::tree(self)
-    }
-
-    fn apply_op(&mut self, op: &BarrierOp) -> Result<BarrierOutcome, ModelError> {
-        ParPacketSim::apply_op(self, op)
-    }
-
-    fn begin_batch(&mut self) {
-        ParPacketSim::begin_batch(self);
-    }
-
-    fn commit_batch(&mut self) {
-        ParPacketSim::commit_batch(self);
     }
 
     fn set_telemetry(&mut self, level: Level) {
@@ -470,7 +441,6 @@ impl PacketBackend for ParPacketSim {
 /// has no way to continue a run whose workers are gone.
 impl PacketBackend for DistPacketSim {
     const KIND: &'static str = "packet_sim_dist";
-    type Error = DistError;
 
     fn run(&mut self, duration: f64) -> PacketSimReport {
         DistPacketSim::run(self, duration).unwrap_or_else(|e| panic!("distributed run failed: {e}"))
@@ -482,22 +452,6 @@ impl PacketBackend for DistPacketSim {
 
     fn tree(&self) -> &Tree {
         DistPacketSim::tree(self)
-    }
-
-    fn apply_op(&mut self, op: &BarrierOp) -> Result<BarrierOutcome, DistError> {
-        DistPacketSim::apply_op(self, op)
-    }
-
-    fn begin_batch(&mut self) {
-        if let Err(e) = DistPacketSim::begin_batch(self) {
-            panic!("distributed batch begin failed: {e}");
-        }
-    }
-
-    fn commit_batch(&mut self) {
-        if let Err(e) = DistPacketSim::commit_batch(self) {
-            panic!("distributed batch commit failed: {e}");
-        }
     }
 
     /// A no-op: the distributed level is fixed at launch through
@@ -660,11 +614,15 @@ impl<B: PacketBackend> Engine for PacketEngine<B> {
     }
 
     fn barrier_begin(&mut self) {
-        self.sim.begin_batch();
+        if let Err(e) = self.sim.begin_batch() {
+            panic!("{} batch begin failed: {e}", B::KIND);
+        }
     }
 
     fn barrier_commit(&mut self) {
-        self.sim.commit_batch();
+        if let Err(e) = self.sim.commit_batch() {
+            panic!("{} batch commit failed: {e}", B::KIND);
+        }
     }
 
     fn set_telemetry(&mut self, level: Level) {

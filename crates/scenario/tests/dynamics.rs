@@ -20,9 +20,8 @@ fn bits(trace: &[f64]) -> Vec<u64> {
 }
 
 /// Golden static pinning: a spec with an *empty* events schedule must
-/// take the classic drive path and produce bit-identical traces to the
-/// same spec without an events block at all — pre-dynamics runs are
-/// untouched.
+/// produce bit-identical traces to the same spec without an events
+/// block at all — pre-dynamics runs are untouched.
 #[test]
 fn empty_schedule_is_bit_identical_to_no_events_field() {
     let static_spec = load_spec("fig2b.json");
@@ -39,6 +38,86 @@ fn empty_schedule_is_bit_identical_to_no_events_field() {
     let tb = b.rows[0].outcome.trace.as_ref().expect("trace");
     assert_eq!(bits(ta), bits(tb), "empty schedule must not perturb runs");
     assert!(b.rows[0].events.is_empty());
+}
+
+/// Records every `on_round` callback while declining convergence
+/// samples, like the runner's default observer.
+#[derive(Default)]
+struct RoundLog(Vec<(usize, Option<u64>)>);
+
+impl Observer for RoundLog {
+    fn wants_convergence(&self) -> bool {
+        false
+    }
+
+    fn on_round(&mut self, round: usize, convergence: Option<f64>) {
+        self.0.push((round, convergence.map(f64::to_bits)));
+    }
+}
+
+/// What an event-free drive must reproduce: trace bits, rounds, the
+/// converged verdict, and the round callbacks.
+type Fingerprint = (Vec<u64>, usize, bool, Vec<(usize, Option<u64>)>);
+
+/// Runs `spec` and returns its [`Fingerprint`].
+fn drive_fingerprint(spec: &ScenarioSpec) -> Fingerprint {
+    let mut log = RoundLog::default();
+    let report = Runner::new().run_with(spec, &mut log).expect("spec runs");
+    let row = &report.rows[0];
+    assert!(row.events.is_empty(), "no event may fire");
+    let trace = bits(row.outcome.trace.as_ref().expect("trace"));
+    (trace, row.outcome.rounds, row.converged, log.0)
+}
+
+/// Event-free runs behave exactly as the pre-dynamics drive loop did,
+/// whether or not the spec carries a schedule: a schedule whose only
+/// event lies past the last round, and an empty schedule, both replay
+/// the plain spec's trace, round count, verdict and callbacks. Under a
+/// `converged` termination the observer receives the metric the loop
+/// computed even though it declined samples.
+#[test]
+fn event_free_runs_match_the_plain_drive_loop() {
+    use ww_scenario::{EventSpec, EventsSpec, Termination};
+    let base = load_spec("fig2b.json");
+    let schedule_past = |max: usize| EventsSpec {
+        schedule: vec![EventSpec {
+            round: max + 1,
+            kind: ww_scenario::EventKindSpec::LinkFail { node: 1 },
+        }],
+        recovery_threshold: 1e-3,
+        batched_barriers: false,
+    };
+    for termination in [
+        Termination::Rounds { max: 40 },
+        Termination::WallClock {
+            seconds: 3600.0,
+            max_rounds: 40,
+        },
+    ] {
+        let mut plain = base.clone();
+        plain.termination = termination;
+        let mut scheduled = plain.clone();
+        scheduled.events = Some(schedule_past(40));
+        let a = drive_fingerprint(&plain);
+        assert_eq!(a.1, 40, "{termination:?}: the round cap binds");
+        assert!(a.3.iter().all(|(_, c)| c.is_none()), "no samples asked");
+        assert_eq!(a, drive_fingerprint(&scheduled), "{termination:?}");
+    }
+    let mut empty = base.clone();
+    empty.events = Some(EventsSpec {
+        schedule: Vec::new(),
+        recovery_threshold: 1e-3,
+        batched_barriers: true,
+    });
+    let a = drive_fingerprint(&base);
+    assert!(a.2, "fig2b converges");
+    assert!(a.1 > 0 && a.1 < 5000, "converged before the cap");
+    assert_eq!(a.3.len(), a.1);
+    assert!(
+        a.3.iter().all(|(_, c)| c.is_some()),
+        "converged runs pass the metric they computed"
+    );
+    assert_eq!(a, drive_fingerprint(&empty), "empty schedule");
 }
 
 /// The acceptance scenario: the churn storm re-converges to TLB

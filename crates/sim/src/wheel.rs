@@ -9,9 +9,10 @@
 //! period, so once sorted by phase they fire forever in the same rotation.
 //!
 //! [`TimerRing`] exploits that: it stores one `next_fire` per member and a
-//! rotation deque. `peek`/`pop`/`rearm` are all `O(1)` (insert is
-//! `O(members)` once at setup), and the main heap stays smaller — so the
-//! *irregular* events get cheaper too.
+//! rotation deque. `peek`/`pop`/`rearm` are all `O(1)` (insert scans the
+//! rotation from the back, `O(1)` for the usual ascending-phase setup
+//! order), and the main heap stays smaller — so the *irregular* events
+//! get cheaper too.
 //!
 //! To merge ring events with heap events deterministically, every fire
 //! carries a sequence number allocated from the owning
@@ -52,6 +53,9 @@ pub struct TimerRing {
     /// rearmed member always belongs at the back, keeping this sorted by
     /// `(next, seq)` without any per-event sorting.
     order: VecDeque<usize>,
+    /// Per member: whether it sits in `order` (armed), so the armed
+    /// checks never scan the rotation.
+    armed: Vec<bool>,
 }
 
 impl TimerRing {
@@ -68,6 +72,7 @@ impl TimerRing {
             next: vec![SimTime::ZERO; members],
             seq: vec![0; members],
             order: VecDeque::with_capacity(members),
+            armed: vec![false; members],
         }
     }
 
@@ -84,10 +89,8 @@ impl TimerRing {
     /// Panics if `member` is out of range or already armed.
     pub fn insert(&mut self, member: usize, first_fire: SimTime, seq: u64) {
         assert!(member < self.next.len(), "member out of range");
-        assert!(
-            !self.order.contains(&member),
-            "member {member} is already armed"
-        );
+        assert!(!self.armed[member], "member {member} is already armed");
+        self.armed[member] = true;
         self.next[member] = first_fire;
         self.seq[member] = seq;
         // Keep `order` sorted by (next, seq). Scanning from the back makes
@@ -112,6 +115,7 @@ impl TimerRing {
     /// sequence numbers match the historical all-heap order).
     pub fn pop(&mut self) -> Option<(SimTime, usize)> {
         let m = self.order.pop_front()?;
+        self.armed[m] = false;
         Some((self.next[m], m))
     }
 
@@ -123,21 +127,19 @@ impl TimerRing {
     /// Panics if `member` is out of range or still armed.
     pub fn rearm(&mut self, member: usize, seq: u64) {
         assert!(member < self.next.len(), "member out of range");
-        debug_assert!(
-            !self.order.contains(&member),
-            "member {member} is already armed"
-        );
+        debug_assert!(!self.armed[member], "member {member} is already armed");
+        self.armed[member] = true;
         self.next[member] = self.next[member] + self.period;
         self.seq[member] = seq;
-        self.order.push_back(member);
+        // The rotation is sorted before the push, so checking the new
+        // back against its predecessor keeps it sorted after.
         debug_assert!(
-            self.order.len() < 2
-                || (0..self.order.len() - 1).all(|i| {
-                    let (a, b) = (self.order[i], self.order[i + 1]);
-                    (self.next[a], self.seq[a]) <= (self.next[b], self.seq[b])
-                }),
+            self.order.back().is_none_or(|&b| {
+                (self.next[b], self.seq[b]) <= (self.next[member], self.seq[member])
+            }),
             "ring rotation out of order"
         );
+        self.order.push_back(member);
     }
 
     /// Grows the ring by one (disarmed) member, returning its id. Arm it
@@ -146,6 +148,7 @@ impl TimerRing {
     pub fn add_member(&mut self) -> usize {
         self.next.push(SimTime::ZERO);
         self.seq.push(0);
+        self.armed.push(false);
         self.next.len() - 1
     }
 
@@ -161,12 +164,16 @@ impl TimerRing {
     pub fn swap_remove_member(&mut self, member: usize) {
         assert!(member < self.next.len(), "member out of range");
         let last = self.next.len() - 1;
-        if let Some(pos) = self.order.iter().position(|&m| m == member) {
-            self.order.remove(pos);
+        if self.armed[member] {
+            let pos = self.order.iter().position(|&m| m == member);
+            self.order
+                .remove(pos.expect("armed members sit in the rotation"));
         }
+        let renumbered_armed = self.armed[last];
         self.next.swap_remove(member);
         self.seq.swap_remove(member);
-        if member != last {
+        self.armed.swap_remove(member);
+        if member != last && renumbered_armed {
             for m in self.order.iter_mut() {
                 if *m == last {
                     *m = member;
@@ -185,9 +192,7 @@ impl TimerRing {
     /// Panics if `member` is out of range.
     pub fn fire_entry(&self, member: usize) -> Option<(SimTime, u64)> {
         assert!(member < self.next.len(), "member out of range");
-        self.order
-            .contains(&member)
-            .then(|| (self.next[member], self.seq[member]))
+        self.armed[member].then(|| (self.next[member], self.seq[member]))
     }
 
     /// Total member count (armed or not).
@@ -319,6 +324,42 @@ mod tests {
         assert_eq!(ring.members(), 1);
         assert_eq!(ring.len(), 1);
         assert_eq!(ring.pop().unwrap().1, 0);
+    }
+
+    #[test]
+    fn armed_state_follows_a_member_through_every_operation() {
+        let mut ring = TimerRing::new(SimTime::from_secs(1.0), 2);
+        let armed = |r: &TimerRing, m: usize| r.fire_entry(m).is_some();
+        assert!(!armed(&ring, 0) && !armed(&ring, 1));
+        ring.insert(0, SimTime::from_secs(0.2), 0);
+        ring.insert(1, SimTime::from_secs(0.6), 1);
+        assert_eq!(ring.fire_entry(1), Some((SimTime::from_secs(0.6), 1)));
+        // pop disarms, rearm re-arms.
+        let (_, m) = ring.pop().unwrap();
+        assert_eq!(m, 0);
+        assert!(!armed(&ring, 0) && armed(&ring, 1));
+        ring.rearm(0, 2);
+        assert_eq!(ring.fire_entry(0), Some((SimTime::from_secs(1.2), 2)));
+        // A newcomer starts disarmed until inserted.
+        let newcomer = ring.add_member();
+        assert!(!armed(&ring, newcomer));
+        ring.insert(newcomer, SimTime::from_secs(0.9), 3);
+        assert!(armed(&ring, newcomer));
+        // Removing an armed member renumbers the armed last one into it.
+        ring.swap_remove_member(0);
+        assert_eq!(ring.members(), 2);
+        assert_eq!(ring.fire_entry(0), Some((SimTime::from_secs(0.9), 3)));
+        assert!(armed(&ring, 1));
+        // Removing while the renumbered last member is disarmed keeps it
+        // disarmed under its new id, and it can be re-armed there.
+        let (_, m) = ring.pop().unwrap();
+        assert_eq!(m, 1);
+        ring.swap_remove_member(0);
+        assert_eq!((ring.members(), ring.len()), (1, 0));
+        assert!(!armed(&ring, 0));
+        ring.rearm(0, 4);
+        assert_eq!(ring.fire_entry(0), Some((SimTime::from_secs(1.6), 4)));
+        assert_eq!(ring.pop(), Some((SimTime::from_secs(1.6), 0)));
     }
 
     #[test]
